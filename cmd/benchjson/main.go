@@ -253,9 +253,11 @@ func main() {
 	// Store family (-full only): the storage layer's two headline costs on a
 	// million-row Patient Discharge table — streaming CSV ingest into the
 	// embedded columnar store under the default memory budget ("ingest-1M"),
-	// reopening the committed file without re-decoding CSV ("reopen-1M"),
-	// and the out-of-core engine open ("open-stream-1M" wall time plus
-	// "open-stream-1M-peak" sampled peak heap). The CSV is written once
+	// reloading the committed file into a table without re-decoding CSV
+	// ("reopen-1M", store.Load), and the engine open over it
+	// ("open-stream-1M" wall time plus "open-stream-1M-peak" sampled peak
+	// heap, core.Open; the cell names predate the single open path and are
+	// kept so the trajectory continues). The CSV is written once
 	// outside the timed region; each ingest rep streams it into a fresh
 	// backend directory, and each reopen/open rep goes through a fresh
 	// backend over the last ingested file so no in-process cache flatters
@@ -287,7 +289,7 @@ func main() {
 // a stable cell key — no anonymization runs; only the store is timed.
 // The open-stream-1M-peak cell abuses the schema on purpose: ns_op holds
 // the sampled peak heap in bytes (seconds mirrors it in MiB), recording
-// the out-of-core contract — peak tracks substrate plus chunk budget,
+// the open's memory contract — peak tracks the table plus substrate,
 // never a second full copy of the raw table — in the same evidence
 // trajectory as the timings.
 func measureStore(rows, reps int) ([]Cell, error) {
@@ -345,7 +347,7 @@ func measureStore(rows, reps int) ([]Cell, error) {
 			return nil, err
 		}
 		start := time.Now()
-		tbl, _, err := b.Open("patients")
+		tbl, _, err := store.Load(b, "patients")
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +361,7 @@ func measureStore(rows, reps int) ([]Cell, error) {
 		}
 	}
 
-	// Streaming engine open over the same committed file: wall time plus
+	// Engine open over the same committed file: wall time plus
 	// sampled peak heap. GOGC is pinned low so the sampler reads live bytes
 	// rather than collector headroom; the minimum peak across reps is
 	// reported (GC scheduling noise only ever inflates a sample).
@@ -393,7 +395,7 @@ func measureStore(rows, reps int) ([]Cell, error) {
 			}
 		}()
 		start := time.Now()
-		eng, err := core.OpenStreaming(b, "patients", core.DefaultOpenBudget)
+		eng, err := core.Open(b, "patients")
 		d := time.Since(start)
 		close(stop)
 		<-done
@@ -401,7 +403,7 @@ func measureStore(rows, reps int) ([]Cell, error) {
 			return nil, err
 		}
 		if eng.Len() != rows {
-			return nil, fmt.Errorf("streaming open built %d rows, want %d", eng.Len(), rows)
+			return nil, fmt.Errorf("open built %d rows, want %d", eng.Len(), rows)
 		}
 		b.Close()
 		if bestStream == 0 || d < bestStream {

@@ -39,16 +39,15 @@ func main() {
 		engineWorkers = flag.Int("workers", 0, "per-engine parallel fan-out (0 = GOMAXPROCS)")
 		preload       = flag.String("preload", "", "comma-separated synthetic datasets to register at boot: census-mcd, census-hcd, patients")
 		dataDir       = flag.String("data-dir", "", "directory for persistent dataset storage; datasets found there are restored at boot")
-		openBudget    = flag.Int("open-budget", 0, "chunk-coalescing byte budget for boot restores: > 0 rebuilds each stored dataset streaming (core.OpenStreaming) so the open never holds a second full table copy; 0 materializes")
 		faultSpec     = flag.String("fault", os.Getenv("TCSERVED_FAULT"), "fault injection spec (testing only), e.g. panic-at=3,slow-task=50ms,transient=2")
 	)
 	flag.Parse()
-	if err := run(*addr, serveConfig(*queue, *jobs, *timeout, *maxTimeout, *retries, *cacheEntries, *engineWorkers, *openBudget, *faultSpec), *preload, *dataDir, *grace); err != nil {
+	if err := run(*addr, serveConfig(*queue, *jobs, *timeout, *maxTimeout, *retries, *cacheEntries, *engineWorkers, *faultSpec), *preload, *dataDir, *grace); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func serveConfig(queue, jobs int, timeout, maxTimeout time.Duration, retries, cache, workers, openBudget int, faultSpec string) serve.Config {
+func serveConfig(queue, jobs int, timeout, maxTimeout time.Duration, retries, cache, workers int, faultSpec string) serve.Config {
 	cfg := serve.Config{
 		MaxQueue:       queue,
 		JobWorkers:     jobs,
@@ -57,7 +56,6 @@ func serveConfig(queue, jobs int, timeout, maxTimeout time.Duration, retries, ca
 		RetryMax:       retries,
 		CacheEntries:   cache,
 		EngineWorkers:  workers,
-		OpenBudget:     openBudget,
 	}
 	if faultSpec != "" {
 		hooks, err := faultinject.Parse(faultSpec)

@@ -5,20 +5,21 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/store"
-	"repro/internal/tclose"
 )
 
-// Open materializes a dataset from a persistent store and prepares an
-// engine over it with its epoch history restored: the epoch counter and
-// the row-id transition log match the engine that wrote the store, so
-// warm replay and future epochs continue seamlessly across a process
-// restart, and releases are bit-identical to the pre-restart engine's.
+// Open rebuilds a dataset from a persistent store (store.Load, which
+// streams the committed chunks and tombstones into one table) and
+// prepares an engine over it once, with its epoch history restored: the
+// epoch counter and the row-id transition log match the engine that wrote
+// the store, so warm replay and future epochs continue seamlessly across a
+// process restart, and releases are bit-identical to the pre-restart
+// engine's.
 //
 // The opened engine writes through: Append and Delete persist their
 // epoch durably before it becomes visible to runs, and on a persistence
 // error the engine is unchanged.
 func Open(b store.Backend, name string, opts ...Option) (*Engine, error) {
-	tbl, epochs, err := b.Open(name)
+	tbl, epochs, err := store.Load(b, name)
 	if err != nil {
 		return nil, err
 	}
@@ -32,91 +33,6 @@ func Open(b store.Backend, name string, opts ...Option) (*Engine, error) {
 	}
 	e.state.epoch = len(epochs)
 	e.state.log = log
-	e.store, e.storeName = b, name
-	return e, nil
-}
-
-// DefaultOpenBudget is the chunk-coalescing byte budget OpenStreaming
-// uses when the caller passes one that is not positive. It matches the
-// default ingest budget: what was written under a given budget streams
-// back under the same one.
-const DefaultOpenBudget = 8 << 20
-
-// OpenStreaming is Open for datasets that should never be materialized
-// twice: it builds the engine substrate chunk-at-a-time from the store's
-// committed history (store.Backend.Stream), extending the per-attribute
-// EMD spaces and the normalized quasi-identifier matrix batch by batch,
-// so peak memory during the open is bounded by the substrate itself plus
-// the budget — never a second full copy of the raw table. Chunks are
-// coalesced into roughly budget-byte batches before each substrate
-// extension, keeping the build O(n × batches) instead of
-// O(n × chunks); budget <= 0 means DefaultOpenBudget.
-//
-// The result is bit-identical to Open on the same backend — same
-// store.TableHash, same epoch log, byte-identical releases — which the
-// property suite pins across every algorithm. Histories with deletion
-// epochs fall back to one full substrate rebuild over the filtered
-// table at the end (exactly the engine's own Delete semantics), so they
-// transiently hold the filtered table copy Subset makes.
-func OpenStreaming(b store.Backend, name string, budget int, opts ...Option) (*Engine, error) {
-	if budget <= 0 {
-		budget = DefaultOpenBudget
-	}
-	e := &Engine{}
-	for _, opt := range opts {
-		opt(e)
-	}
-	var (
-		bld *tclose.Builder
-		bat *dataset.Batcher
-	)
-	flush := func(cols [][]float64, dictDelta [][]string) error {
-		for c, delta := range dictDelta {
-			if len(delta) == 0 {
-				continue
-			}
-			if err := bld.ExtendDict(c, delta); err != nil {
-				return err
-			}
-		}
-		return bld.Append(cols)
-	}
-	epochs, err := b.Stream(name, store.StreamHandler{
-		Begin: func(s *dataset.Schema, rows int) error {
-			var err error
-			if bld, err = tclose.NewBuilder(s, rows); err != nil {
-				return err
-			}
-			bat = dataset.NewBatcher(s.Len(), budget, flush)
-			return nil
-		},
-		Chunk: func(ch store.ColumnChunk) error {
-			return bat.Add(ch.Cols, ch.DictDelta)
-		},
-		Tombstone: func(ids []int) error {
-			if err := bat.Flush(); err != nil {
-				return err
-			}
-			return bld.Delete(ids)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := bat.Flush(); err != nil {
-		return nil, err
-	}
-	prep, err := bld.Finish()
-	if err != nil {
-		return nil, err
-	}
-	prep.Matrix().SetTuning(e.tun)
-	prep.Matrix().EnableIndexCache()
-	log := make([]epochChange, len(epochs))
-	for i, ep := range epochs {
-		log[i] = epochChange{appended: ep.Appended, oldToNew: ep.OldToNew}
-	}
-	e.state = &engineState{epoch: len(epochs), table: prep.Table(), prep: prep, log: log}
 	e.store, e.storeName = b, name
 	return e, nil
 }

@@ -16,7 +16,7 @@ import (
 
 // ingestCensus writes the census fixture through the streaming CSV
 // ingester under a tiny chunk budget, so the stored dataset holds many
-// small chunks and a streaming open has real batching to do.
+// small chunks for an open to replay.
 func ingestCensus(t *testing.T, b store.Backend, name string, n int) *dataset.Table {
 	t.Helper()
 	tbl := synth.Census(n, synth.FedTax, synth.DefaultSeed)
@@ -30,9 +30,10 @@ func ingestCensus(t *testing.T, b store.Backend, name string, n int) *dataset.Ta
 	return tbl
 }
 
-// OpenStreaming must be bit-identical to Open on the same backend: same
-// table hash, same epoch counter, and byte-identical releases across all
-// six algorithms on the census fixture.
+// An engine opened from the store must be bit-identical to one prepared
+// directly over the source table: same table hash, same epoch counter,
+// and byte-identical releases across all six algorithms on the census
+// fixture.
 func TestOpenStreamingBitIdenticalAllAlgorithms(t *testing.T) {
 	b, err := store.NewFileBackend(t.TempDir())
 	if err != nil {
@@ -40,67 +41,37 @@ func TestOpenStreamingBitIdenticalAllAlgorithms(t *testing.T) {
 	}
 	src := ingestCensus(t, b, "census", 700)
 
-	cold, err := Open(b, "census")
+	direct, err := NewEngine(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := OpenStreaming(b, "census", 16<<10)
+	opened, err := Open(b, "census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := store.TableHash(streamed.Table()), store.TableHash(src); got != want {
-		t.Fatalf("streamed table hash %s, source %s", got, want)
+	if got, want := store.TableHash(opened.Table()), store.TableHash(src); got != want {
+		t.Fatalf("opened table hash %s, source %s", got, want)
 	}
-	if streamed.Epoch() != cold.Epoch() {
-		t.Fatalf("streamed epoch %d, cold %d", streamed.Epoch(), cold.Epoch())
+	if opened.Epoch() != direct.Epoch() {
+		t.Fatalf("opened epoch %d, direct %d", opened.Epoch(), direct.Epoch())
 	}
 	for _, alg := range []Algorithm{
 		Merge, KAnonymityFirst, TClosenessFirst,
 		MondrianBaseline, SABREBaseline, IncognitoBaseline,
 	} {
 		spec := Spec{Algorithm: alg, K: 4, T: 0.3}
-		want := releaseCSV(t, cold, spec)
-		got := releaseCSV(t, streamed, spec)
+		want := releaseCSV(t, direct, spec)
+		got := releaseCSV(t, opened, spec)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: streamed release differs from cold open release", alg)
-		}
-	}
-}
-
-// The batch boundaries must not matter: any budget — one byte (every
-// chunk its own batch), mid-size, larger than the dataset (one batch) —
-// produces the same engine.
-func TestOpenStreamingBudgetSweep(t *testing.T) {
-	b, err := store.NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestCensus(t, b, "census", 500)
-	cold, err := Open(b, "census")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Algorithm: TClosenessFirst, K: 3, T: 0.25}
-	wantHash := store.TableHash(cold.Table())
-	wantRelease := releaseCSV(t, cold, spec)
-	for _, budget := range []int{1, 4 << 10, 1 << 20} {
-		eng, err := OpenStreaming(b, "census", budget)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if got := store.TableHash(eng.Table()); got != wantHash {
-			t.Fatalf("budget %d: table hash %s, want %s", budget, got, wantHash)
-		}
-		if got := releaseCSV(t, eng, spec); !bytes.Equal(got, wantRelease) {
-			t.Fatalf("budget %d: release differs", budget)
+			t.Errorf("%s: opened release differs from the direct engine's release", alg)
 		}
 	}
 }
 
 // Epoch histories — appends introducing new dictionary labels, deletes,
-// then more appends — must stream back exactly as Open materializes
+// then more appends — must open back exactly as the writing engine held
 // them, on both backends: same hash, same epoch log (observable through
-// warm replay), byte-identical releases, and the streamed engine must
+// warm replay), byte-identical releases, and the reopened engine must
 // keep writing through durably.
 func TestOpenStreamingEpochReplay(t *testing.T) {
 	file, err := store.NewFileBackend(t.TempDir())
@@ -128,57 +99,57 @@ func TestOpenStreamingEpochReplay(t *testing.T) {
 			spec := Spec{Algorithm: TClosenessFirst, K: 4, T: 0.3}
 			release := releaseCSV(t, eng, spec)
 
-			streamed, err := OpenStreaming(b, "ds", 1<<10)
+			opened, err := Open(b, "ds")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if streamed.Epoch() != 3 {
-				t.Fatalf("streamed epoch %d, want 3", streamed.Epoch())
+			if opened.Epoch() != 3 {
+				t.Fatalf("opened epoch %d, want 3", opened.Epoch())
 			}
-			if got, want := store.TableHash(streamed.Table()), store.TableHash(eng.Table()); got != want {
-				t.Fatalf("streamed table hash %s, want %s", got, want)
+			if got, want := store.TableHash(opened.Table()), store.TableHash(eng.Table()); got != want {
+				t.Fatalf("opened table hash %s, want %s", got, want)
 			}
-			if got := releaseCSV(t, streamed, spec); !bytes.Equal(got, release) {
-				t.Fatal("streamed release differs from the writing engine's")
+			if got := releaseCSV(t, opened, spec); !bytes.Equal(got, release) {
+				t.Fatal("opened release differs from the writing engine's")
 			}
 
 			// The epoch log must be intact for warm replay across epochs
-			// opened after the streaming restore.
+			// committed after the restore.
 			warm := Spec{Algorithm: TClosenessFirst, K: 4, T: 0.3, Warm: true}
-			if _, err := streamed.Run(t.Context(), warm); err != nil {
+			if _, err := opened.Run(t.Context(), warm); err != nil {
 				t.Fatal(err)
 			}
-			if err := streamed.Delete(5, 6); err != nil {
+			if err := opened.Delete(5, 6); err != nil {
 				t.Fatal(err)
 			}
-			res, err := streamed.Run(t.Context(), warm)
+			res, err := opened.Run(t.Context(), warm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Warm == nil {
-				t.Fatal("warm run after streamed open did not use the warm cache")
+				t.Fatal("warm run after the open did not use the warm cache")
 			}
 
-			// And the write-through continues: a fresh open (either path)
-			// sees the epoch the streamed engine persisted.
-			reopened, err := OpenStreaming(b, "ds", 0)
+			// And the write-through continues: a fresh open sees the epoch
+			// the reopened engine persisted.
+			reopened, err := Open(b, "ds")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if reopened.Epoch() != 4 {
 				t.Fatalf("reopened epoch %d, want 4", reopened.Epoch())
 			}
-			if got, want := store.TableHash(reopened.Table()), store.TableHash(streamed.Table()); got != want {
+			if got, want := store.TableHash(reopened.Table()), store.TableHash(opened.Table()); got != want {
 				t.Fatalf("reopened table hash %s, want %s", got, want)
 			}
 		})
 	}
 }
 
-// The memory contract: a 1M-row streaming open must never hold a second
-// full copy of the raw table. Peak heap while opening stays within the
-// final substrate plus a fixed allowance that is far smaller than the
-// raw table (which a materializing open necessarily doubles through).
+// The memory contract: a 1M-row open must never hold a second full copy
+// of the raw table. Peak heap while opening stays within the final
+// substrate plus a fixed allowance that is far smaller than the raw table
+// (which an open replaying into a scratch copy would double through).
 func TestOpenStreamingMemoryBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row open skipped in -short mode")
@@ -221,8 +192,7 @@ func TestOpenStreamingMemoryBudget(t *testing.T) {
 		}
 	}()
 
-	const budget = 8 << 20
-	eng, err := OpenStreaming(b, "big", budget)
+	eng, err := Open(b, "big")
 	close(stop)
 	<-done
 	if err != nil {
@@ -239,10 +209,10 @@ func TestOpenStreamingMemoryBudget(t *testing.T) {
 	t.Logf("raw table %d MiB, substrate (live after open) %d MiB, sampled peak %d MiB",
 		rawTableBytes>>20, live>>20, peak.Load()>>20)
 
-	// The allowance covers one budget-sized batch, per-batch bookkeeping,
+	// The allowance covers a few decoded chunks, per-chunk bookkeeping,
 	// and GC lag — it must stay well under the raw table size, or the open
 	// is holding a second copy.
-	allowance := uint64(budget) + rawTableBytes/4
+	allowance := uint64(8<<20) + rawTableBytes/4
 	if max := live + allowance; peak.Load() > max {
 		t.Fatalf("peak heap %d MiB exceeds substrate %d MiB + allowance %d MiB",
 			peak.Load()>>20, live>>20, allowance>>20)

@@ -389,27 +389,13 @@ func (t *Table) QINormParams() NormParams {
 }
 
 func (t *Table) normParams(cols []int) NormParams {
-	los := make([]float64, len(cols))
-	his := make([]float64, len(cols))
-	for j, c := range cols {
-		los[j], his[j] = minMax(t.cols[c][:t.rows])
-	}
-	return NormParamsFromBounds(los, his)
-}
-
-// NormParamsFromBounds builds the normalization frame from explicit raw
-// per-column bounds. It is the same derivation QINormParams applies to
-// the bounds it scans from the table, factored out so a streaming build
-// tracking running minima/maxima gets a bit-identical frame without
-// holding the whole table.
-func NormParamsFromBounds(los, his []float64) NormParams {
 	p := NormParams{
-		Mins:   make([]float64, len(los)),
-		Ranges: make([]float64, len(los)),
-		Scales: make([]float64, len(los)),
+		Mins:   make([]float64, len(cols)),
+		Ranges: make([]float64, len(cols)),
+		Scales: make([]float64, len(cols)),
 	}
-	for j := range los {
-		lo, hi := los[j], his[j]
+	for j, c := range cols {
+		lo, hi := minMax(t.cols[c][:t.rows])
 		// scale halves the values before normalizing when hi-lo would
 		// overflow float64 (possible for columns spanning nearly the full
 		// float range).
@@ -428,19 +414,11 @@ func NormParamsFromBounds(los, his []float64) NormParams {
 	return p
 }
 
-// QIMatrixTail returns the normalized quasi-identifier rows [from, Len())
-// under an explicit normalization frame — the epoch-append path, which
-// reuses the frame of the prepared matrix when no appended value widened a
-// column's range.
-func (t *Table) QIMatrixTail(from int, p NormParams) [][]float64 {
-	return t.normalizeRows(t.schema.QuasiIdentifiers(), from, t.rows, p)
-}
-
 // NormalizeQIInto writes the normalized quasi-identifier rows [lo, hi)
 // under frame p into dst, row-major, without allocating: dst must hold at
-// least (hi-lo)*len(QuasiIdentifiers()) values. It is the in-place core
-// of QIMatrixTail, exposed so a streaming build can renormalize its
-// backing array window by window when an appended batch widens a range.
+// least (hi-lo)*len(QuasiIdentifiers()) values. It is how the prepared
+// substrate fills its matrix backing — every row on a cold build, only
+// the appended rows when an epoch append leaves the frame unchanged.
 func (t *Table) NormalizeQIInto(dst []float64, lo, hi int, p NormParams) {
 	t.normalizeInto(dst, t.schema.QuasiIdentifiers(), lo, hi, p)
 }

@@ -423,3 +423,63 @@ func TestRedact(t *testing.T) {
 		t.Error("numeric redaction should zero the column")
 	}
 }
+
+// NormalizeQIInto must write exactly what QIMatrix computes, and must
+// overwrite stale values in a reused destination (zero-range columns
+// included).
+func TestNormalizeQIInto(t *testing.T) {
+	schema := MustSchema(
+		Attribute{Name: "a", Role: QuasiIdentifier, Kind: Numeric},
+		Attribute{Name: "c", Role: QuasiIdentifier, Kind: Numeric}, // constant → range 0
+		Attribute{Name: "s", Role: Confidential, Kind: Numeric},
+	)
+	tbl := MustTable(schema)
+	for r := 0; r < 10; r++ {
+		if err := tbl.AppendNumericRow(float64(r*r), 7, float64(r%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := tbl.QINormParams()
+	want := tbl.QIMatrix()
+	dst := make([]float64, 10*2)
+	for i := range dst {
+		dst[i] = math.Inf(1) // stale garbage that must be overwritten
+	}
+	tbl.NormalizeQIInto(dst, 0, 10, p)
+	for r := 0; r < 10; r++ {
+		for j := 0; j < 2; j++ {
+			if math.Float64bits(dst[r*2+j]) != math.Float64bits(want[r][j]) {
+				t.Fatalf("row %d col %d: %v, want %v", r, j, dst[r*2+j], want[r][j])
+			}
+		}
+	}
+}
+
+// Grow is capacity-only: length, values and appends are unaffected, and
+// post-Grow appends up to the reserved size do not reallocate columns.
+func TestTableGrow(t *testing.T) {
+	schema := MustSchema(
+		Attribute{Name: "a", Role: QuasiIdentifier, Kind: Numeric},
+		Attribute{Name: "s", Role: Confidential, Kind: Numeric},
+	)
+	tbl := MustTable(schema)
+	if err := tbl.AppendNumericRow(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Grow(100)
+	if tbl.Len() != 1 {
+		t.Fatalf("Grow changed Len to %d", tbl.Len())
+	}
+	base := &tbl.ColumnView(0)[0]
+	for r := 0; r < 99; r++ {
+		if err := tbl.AppendNumericRow(float64(r), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tbl.Len() != 100 {
+		t.Fatalf("Len %d, want 100", tbl.Len())
+	}
+	if base != &tbl.ColumnView(0)[0] {
+		t.Fatal("appends within the reserved capacity reallocated the column")
+	}
+}

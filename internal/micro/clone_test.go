@@ -128,37 +128,3 @@ func TestMatrixTuningDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixAppendRowsCopy: the extended matrix carries the old rows
-// bit-identically plus the tail, leaves the receiver untouched, and
-// inherits tuning and cache-enablement.
-func TestMatrixAppendRowsCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := randomMatrix(rng, 50, 3)
-	m.SetTuning(Tuning{Workers: 2, IndexCrossover: 8})
-	m.EnableIndexCache()
-	tail := [][]float64{{0.1, 0.2, 0.3}, {0.9, 0.8, 0.7}}
-	out := m.AppendRowsCopy(tail)
-	if out.N() != 52 || out.Dim() != 3 {
-		t.Fatalf("extended shape %dx%d", out.N(), out.Dim())
-	}
-	for i := 0; i < m.N(); i++ {
-		if !reflect.DeepEqual(m.Row(i), out.Row(i)) {
-			t.Fatalf("row %d diverged", i)
-		}
-	}
-	for i, row := range tail {
-		if !reflect.DeepEqual(out.Row(m.N()+i), row) {
-			t.Fatalf("tail row %d diverged", i)
-		}
-	}
-	if out.TuningOf() != m.TuningOf() {
-		t.Error("tuning did not carry over")
-	}
-	if !out.IndexCacheEnabled() {
-		t.Error("index cache enablement did not carry over")
-	}
-	if m.N() != 50 {
-		t.Error("receiver mutated")
-	}
-}

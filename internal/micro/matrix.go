@@ -66,30 +66,11 @@ func NewMatrix(points [][]float64) *Matrix {
 	return m
 }
 
-// AppendRowsCopy returns a new Matrix holding this matrix's rows followed
-// by tail, leaving the receiver untouched (epoch-style ingest: in-flight
-// queries over the old matrix stay valid). Tuning carries over; an enabled
-// index cache carries over as a fresh, unbuilt cache, since the master tree
-// of the old row set is invalid for the extended one.
-func (m *Matrix) AppendRowsCopy(tail [][]float64) *Matrix {
-	dim := m.dim
-	if dim == 0 && len(tail) > 0 {
-		dim = len(tail[0])
-	}
-	out := &Matrix{
-		data: make([]float64, (m.n+len(tail))*dim),
-		n:    m.n + len(tail),
-		dim:  dim,
-		tun:  m.tun,
-	}
-	copy(out.data, m.data)
-	for i, p := range tail {
-		copy(out.data[(m.n+i)*dim:(m.n+i+1)*dim], p)
-	}
-	if m.cache != nil {
-		out.cache = &IndexCache{}
-	}
-	return out
+// NewMatrixFlat wraps data — rows of dim > 0 values each, row-major — as
+// a Matrix without copying. The matrix owns data from then on: the caller
+// must not modify it.
+func NewMatrixFlat(data []float64, dim int) *Matrix {
+	return &Matrix{data: data, n: len(data) / dim, dim: dim}
 }
 
 // N returns the number of rows.
@@ -101,6 +82,12 @@ func (m *Matrix) Dim() int { return m.dim }
 // Row returns row i as a slice aliasing the backing array.
 func (m *Matrix) Row(i int) []float64 {
 	return m.data[i*m.dim : (i+1)*m.dim : (i+1)*m.dim]
+}
+
+// Rows returns rows [lo, hi) as one row-major slice aliasing the backing
+// array; like Row, it must be treated as read-only.
+func (m *Matrix) Rows(lo, hi int) []float64 {
+	return m.data[lo*m.dim : hi*m.dim : hi*m.dim]
 }
 
 // RowDist2 returns the squared Euclidean distance between row i and point p.

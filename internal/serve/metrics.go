@@ -120,15 +120,15 @@ func (s *Server) snapshotMetrics() MetricsSnapshot {
 	datasets := len(s.datasets)
 	s.mu.Unlock()
 	return MetricsSnapshot{
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Runs:          s.metrics.runs.Load(),
-		Failures:      s.metrics.failures.Load(),
-		Panics:        s.metrics.panics.Load(),
-		Retries:       s.metrics.retries.Load(),
-		Transients:    s.metrics.transients.Load(),
-		Timeouts:      s.metrics.timeouts.Load(),
-		Canceled:      s.metrics.cancels.Load(),
-		Shed:          s.metrics.shed.Load(),
+		UptimeSeconds:      time.Since(s.metrics.start).Seconds(),
+		Runs:               s.metrics.runs.Load(),
+		Failures:           s.metrics.failures.Load(),
+		Panics:             s.metrics.panics.Load(),
+		Retries:            s.metrics.retries.Load(),
+		Transients:         s.metrics.transients.Load(),
+		Timeouts:           s.metrics.timeouts.Load(),
+		Canceled:           s.metrics.cancels.Load(),
+		Shed:               s.metrics.shed.Load(),
 		CacheHits:          s.metrics.cacheHits.Load(),
 		CacheMisses:        s.metrics.cacheMiss.Load(),
 		WarmHits:           s.metrics.warmHits.Load(),
@@ -136,11 +136,11 @@ func (s *Server) snapshotMetrics() MetricsSnapshot {
 		WarmRepairRows:     s.metrics.warmRepairRows.Load(),
 		WarmRepairClusters: s.metrics.warmRepairClusters.Load(),
 		ShardedRuns:        s.metrics.shardedRuns.Load(),
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		InFlight:      s.metrics.inFlight.Load(),
-		Datasets:      datasets,
-		P50Millis:     float64(p50) / float64(time.Millisecond),
-		P99Millis:     float64(p99) / float64(time.Millisecond),
+		QueueDepth:         len(s.queue),
+		QueueCapacity:      cap(s.queue),
+		InFlight:           s.metrics.inFlight.Load(),
+		Datasets:           datasets,
+		P50Millis:          float64(p50) / float64(time.Millisecond),
+		P99Millis:          float64(p99) / float64(time.Millisecond),
 	}
 }

@@ -159,9 +159,10 @@ func TestShedBodyCarriesEstimate(t *testing.T) {
 	t.Fatal("queue never shed load")
 }
 
-// RestoreDatasets with OpenBudget set rebuilds every stored dataset
-// through the streaming open: same names, epochs, and table hashes as the
-// materializing path, and the restored engines keep accepting epochs.
+// RestoreDatasets rebuilds every stored dataset by streaming its committed
+// history — append and tombstone epochs included — through core.Open: same
+// names, epochs, and table hashes as before the restart, and the restored
+// engines keep accepting epochs.
 func TestRestoreDatasetsStreaming(t *testing.T) {
 	dir := t.TempDir()
 	backend, err := store.NewFileBackend(dir)
@@ -188,7 +189,7 @@ func TestRestoreDatasetsStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := testServer(t, Config{Store: backend2, OpenBudget: 1 << 16})
+	srv2, ts2 := testServer(t, Config{Store: backend2})
 	names, err := srv2.RestoreDatasets()
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestRestoreDatasetsStreaming(t *testing.T) {
 	}
 	after := listDocs(t, ts2.URL)
 	if got, want := mustMarshal(t, after), mustMarshal(t, before); got != want {
-		t.Fatalf("streaming restore changed the listing:\nbefore: %s\nafter:  %s", want, got)
+		t.Fatalf("restore changed the listing:\nbefore: %s\nafter:  %s", want, got)
 	}
 	code, doc, _ = doJSON(t, http.MethodDelete, ts2.URL+"/v1/datasets/clinic/rows", map[string]any{
 		"rows": []int{0},

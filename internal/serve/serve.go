@@ -89,12 +89,6 @@ type Config struct {
 	// RestoreDatasets on a later boot serves the same datasets at the same
 	// epochs with identical table hashes. Nil keeps datasets in memory only.
 	Store store.Backend
-	// OpenBudget, when positive, makes RestoreDatasets rebuild each stored
-	// dataset through the streaming open path (core.OpenStreaming) with
-	// this chunk-coalescing byte budget: boot-time peak memory per dataset
-	// is bounded by the budget plus the engine substrate, never a second
-	// full copy of the raw table. 0 keeps the materializing core.Open.
-	OpenBudget int
 }
 
 func (c Config) withDefaults() Config {
@@ -314,9 +308,7 @@ func (s *Server) reserveDataset(name string) error {
 // counter, replayable epoch log, and bit-identical table of the engine
 // that wrote the store, so releases match across the restart. It returns
 // the restored names in lexical order; with no store configured it
-// restores nothing. With Config.OpenBudget set, each engine is rebuilt
-// through the streaming open path instead of materializing the table
-// twice.
+// restores nothing.
 //
 // A data directory holding files the store cannot account for does not
 // abort the boot: every intact dataset is still restored, and the names
@@ -337,15 +329,7 @@ func (s *Server) RestoreDatasets() ([]string, error) {
 			return nil, err
 		}
 		ds := &datasetEntry{name: name, created: time.Now()}
-		var (
-			eng *core.Engine
-			err error
-		)
-		if s.cfg.OpenBudget > 0 {
-			eng, err = core.OpenStreaming(s.cfg.Store, name, s.cfg.OpenBudget, s.engineOptions(ds)...)
-		} else {
-			eng, err = core.Open(s.cfg.Store, name, s.engineOptions(ds)...)
-		}
+		eng, err := core.Open(s.cfg.Store, name, s.engineOptions(ds)...)
 		s.mu.Lock()
 		delete(s.reserved, name)
 		if err != nil {

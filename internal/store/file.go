@@ -53,9 +53,10 @@ import (
 // complete or truncated blocks after the last commit — which replay
 // silently discards, reopening at the last committed epoch. A checksum
 // mismatch or impossible structure anywhere in the committed region is
-// *corruption*, not a crash artifact, and fails Open with ErrCorrupt; a
-// file that ends before its first commit fails with ErrTruncated. The
-// decoder never panics on hostile input (fuzzed by FuzzFileOpen).
+// *corruption*, not a crash artifact, and fails Stream (and so Load) with
+// ErrCorrupt; a file that ends before its first commit fails with
+// ErrTruncated. The decoder never panics on hostile input (fuzzed by
+// FuzzFileDecode through the handler Load replays with).
 const magic = "TCSTOR01"
 
 const (

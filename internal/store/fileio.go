@@ -18,7 +18,7 @@ import (
 // sees each deletion epoch's removed row ids (in the numbering of the
 // epoch it was committed against, ascending, unique).
 type replayHooks struct {
-	chunk func(schema *dataset.Schema, ch ColumnChunk) error
+	chunk func(ch ColumnChunk) error
 	tomb  func(rowIDs []int) error
 }
 
@@ -222,7 +222,7 @@ func (rs *replayState) finishChunk() error {
 	rs.rows += ch.Rows
 	rs.epochRows += ch.Rows
 	if rs.hooks.chunk != nil {
-		if err := rs.hooks.chunk(rs.schema, ch); err != nil {
+		if err := rs.hooks.chunk(ch); err != nil {
 			return err
 		}
 	}

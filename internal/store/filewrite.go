@@ -45,71 +45,6 @@ func (b *FileBackend) lockState(name string) (*fileState, error) {
 	return st, nil
 }
 
-// Open implements Backend: a full replay materializing the table with
-// every committed epoch (appends and tombstones) applied.
-func (b *FileBackend) Open(name string) (*dataset.Table, []Epoch, error) {
-	st, err := b.lockState(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer st.mu.Unlock()
-	var tbl *dataset.Table
-	fresh, err := b.load(name, replayHooks{
-		chunk: func(s *dataset.Schema, ch ColumnChunk) error {
-			if tbl == nil {
-				var err error
-				if tbl, err = dataset.NewTable(s); err != nil {
-					return err
-				}
-			}
-			// A chunk the table rejects (duplicate dictionary labels, codes
-			// out of range) is invalid persisted data, not a caller mistake.
-			if err := applyChunk(tbl, ch); err != nil {
-				return corruptf("applying chunk: %v", err)
-			}
-			return nil
-		},
-		tomb: func(ids []int) error {
-			keep := make([]int, 0, tbl.Len()-len(ids))
-			ti := 0
-			for r := 0; r < tbl.Len(); r++ {
-				if ti < len(ids) && ids[ti] == r {
-					ti++
-					continue
-				}
-				keep = append(keep, r)
-			}
-			sub, err := tbl.Subset(keep)
-			if err != nil {
-				return err
-			}
-			tbl = sub
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if tbl == nil {
-		if tbl, err = dataset.NewTable(fresh.schema); err != nil {
-			return nil, nil, err
-		}
-	}
-	return tbl, fresh.epochs, nil
-}
-
-// Chunks implements Backend, streaming committed chunks without
-// materializing the table.
-func (b *FileBackend) Chunks(name string, fn func(*dataset.Schema, ColumnChunk) error) error {
-	st, err := b.lockState(name)
-	if err != nil {
-		return err
-	}
-	defer st.mu.Unlock()
-	_, err = b.load(name, replayHooks{chunk: fn})
-	return err
-}
-
 // Stream implements Backend. The replay is necessarily a second pass
 // over the file (scanValid must find the last commit first so torn tails
 // never reach the handler), but it decodes one chunk at a time — nothing
@@ -125,11 +60,7 @@ func (b *FileBackend) Stream(name string, h StreamHandler) ([]Epoch, error) {
 			return nil, err
 		}
 	}
-	var chunk func(*dataset.Schema, ColumnChunk) error
-	if h.Chunk != nil {
-		chunk = func(_ *dataset.Schema, ch ColumnChunk) error { return h.Chunk(ch) }
-	}
-	fresh, err := b.load(name, replayHooks{chunk: chunk, tomb: h.Tombstone})
+	fresh, err := b.load(name, replayHooks{chunk: h.Chunk, tomb: h.Tombstone})
 	if err != nil {
 		return nil, err
 	}

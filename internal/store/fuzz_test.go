@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 // validFileBytes builds a committed dataset file (snapshot + one append
@@ -43,28 +41,50 @@ func validFileBytes(t testing.TB) []byte {
 	return raw
 }
 
-// decodeBytes runs the full decode pipeline (scan + committed replay,
-// materializing the table like Open does) over an in-memory file image.
+// zeroChunkFileBytes builds a committed dataset file whose snapshot holds
+// no chunk at all, followed by a deletion epoch that removes nothing.
+func zeroChunkFileBytes(t testing.TB) []byte {
+	dir := t.TempDir()
+	b, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := b.Create("seed", randomTable(rand.New(rand.NewSource(12))).Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteEpoch("seed", nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "seed.tcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// decodeBytes decodes an in-memory file image the way FileBackend.Stream
+// serves Load: a validating pass yields the schema and row count Begin
+// receives, then the committed region replays through Load's handler,
+// chunks and tombstones alike.
 func decodeBytes(data []byte) error {
 	end, err := scanValid(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}
-	var tbl *dataset.Table
-	_, err = replayCommitted(bytes.NewReader(data), end, replayHooks{
-		chunk: func(s *dataset.Schema, ch ColumnChunk) error {
-			if tbl == nil {
-				var err error
-				if tbl, err = dataset.NewTable(s); err != nil {
-					return err
-				}
-			}
-			if err := applyChunk(tbl, ch); err != nil {
-				return corruptf("applying chunk: %v", err)
-			}
-			return nil
-		},
-	})
+	st, err := replayCommitted(bytes.NewReader(data), end, replayHooks{})
+	if err != nil {
+		return err
+	}
+	var l loader
+	h := l.handler()
+	if err := h.Begin(st.schema, st.rows); err != nil {
+		return err
+	}
+	_, err = replayCommitted(bytes.NewReader(data), end, replayHooks{chunk: h.Chunk, tomb: h.Tombstone})
 	return err
 }
 
@@ -93,6 +113,7 @@ func FuzzFileDecode(f *testing.F) {
 	for _, m := range hostileMutations(raw) {
 		f.Add(m)
 	}
+	f.Add(zeroChunkFileBytes(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := decodeBytes(data); err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
@@ -102,10 +123,11 @@ func FuzzFileDecode(f *testing.F) {
 	})
 }
 
-// The same contract through the real Open path, for the seed corpus.
+// The same contract through the real Load path, for the seed corpus.
 func TestOpenHostileInput(t *testing.T) {
 	raw := validFileBytes(t)
-	for i, data := range append([][]byte{raw}, hostileMutations(raw)...) {
+	inputs := append([][]byte{raw}, hostileMutations(raw)...)
+	for i, data := range append(inputs, zeroChunkFileBytes(t)) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "ds.tcs"), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -114,7 +136,7 @@ func TestOpenHostileInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, _, err := b.Open("ds")
+		tbl, _, err := Load(b, "ds")
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("input %d: untyped error: %v", i, err)

@@ -21,7 +21,7 @@ type memDataset struct {
 	schema *dataset.Schema
 	chunks []ColumnChunk // snapshot + append-epoch chunks in commit order
 	epochs []Epoch
-	table  *dataset.Table // current materialized state
+	table  *dataset.Table // current state, for validating epochs
 }
 
 // NewMemBackend returns an empty in-memory store.
@@ -52,48 +52,6 @@ func (b *MemBackend) Remove(name string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
 	delete(b.datasets, name)
-	return nil
-}
-
-func (b *MemBackend) get(name string) (*memDataset, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d, ok := b.datasets[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	return d, nil
-}
-
-// Open implements Backend. The table is a deep copy, so callers cannot
-// alias the store's state.
-func (b *MemBackend) Open(name string) (*dataset.Table, []Epoch, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d, ok := b.datasets[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	epochs := make([]Epoch, len(d.epochs))
-	copy(epochs, d.epochs)
-	return d.table.Clone(), epochs, nil
-}
-
-// Chunks implements Backend.
-func (b *MemBackend) Chunks(name string, fn func(*dataset.Schema, ColumnChunk) error) error {
-	d, err := b.get(name)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	chunks := make([]ColumnChunk, len(d.chunks))
-	copy(chunks, d.chunks)
-	b.mu.Unlock()
-	for _, ch := range chunks {
-		if err := fn(d.schema, copyChunk(ch)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

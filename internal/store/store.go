@@ -7,9 +7,9 @@
 // Data moves in ColumnChunks — a bounded batch of records in columnar
 // form plus the dictionary labels the batch introduced — in both
 // directions: the streaming CSV ingester (IngestCSV) flushes chunks under
-// a memory budget instead of materializing rows, and a reader rebuilds a
-// table chunk by chunk through dataset.Table.ExtendDict and
-// dataset.Table.AppendColumnChunk. The round trip is bit-identical —
+// a memory budget instead of materializing rows, and Load rebuilds a
+// table chunk by chunk from Backend.Stream through dataset.Table.ExtendDict
+// and dataset.Table.AppendColumnChunk. The round trip is bit-identical —
 // values (as float64 bits), dictionary label order, and the label→code
 // assignment all survive — which is what lets an engine rebuilt from a
 // snapshot produce byte-identical releases; the property suite pins it.
@@ -59,7 +59,7 @@ type Epoch struct {
 }
 
 // SnapshotWriter streams the epoch-0 snapshot of a new dataset into a
-// backend chunk by chunk. Nothing is visible to Open/List until Commit
+// backend chunk by chunk. Nothing is visible to Stream/List until Commit
 // returns; Close without a Commit aborts and discards the partial write.
 type SnapshotWriter interface {
 	// Append adds one chunk to the pending snapshot.
@@ -74,7 +74,7 @@ type SnapshotWriter interface {
 // StreamHandler receives a dataset's committed history in commit order
 // during Backend.Stream. Any hook may be nil. Begin fires once, before
 // any content, with the schema and the final row count (after every
-// committed epoch — a preallocation hint for out-of-core builders).
+// committed epoch — a preallocation hint for the table being rebuilt).
 // Chunk fires for every snapshot and append-epoch chunk, Tombstone for
 // every deletion epoch, interleaved exactly as committed; tombstone row
 // ids are in the numbering of the epoch they were committed against,
@@ -87,25 +87,17 @@ type StreamHandler struct {
 
 // Backend is a store of named columnar datasets with durable epoch
 // history. Implementations must be safe for concurrent use; per-dataset
-// operations (AppendEpoch, DeleteEpoch vs Open/Chunks) may be serialized
+// operations (AppendEpoch, DeleteEpoch vs Stream) may be serialized
 // internally.
 type Backend interface {
 	// Create starts streaming a new dataset's snapshot. It fails if the
 	// name is taken.
 	Create(name string, schema *dataset.Schema) (SnapshotWriter, error)
-	// Open materializes the dataset: the table with every committed epoch
-	// applied, plus the replayable epoch log.
-	Open(name string) (*dataset.Table, []Epoch, error)
-	// Chunks streams the dataset's schema and committed column chunks in
-	// commit order (snapshot chunks first, then append-epoch chunks;
-	// deletion epochs do not produce chunks — consume Stream or Open for
-	// a tombstone-aware view).
-	Chunks(name string, fn func(*dataset.Schema, ColumnChunk) error) error
 	// Stream replays the dataset's full committed history — chunks and
-	// tombstones interleaved in commit order — without materializing the
-	// table, and returns the epoch log Open would return. It is the
-	// out-of-core counterpart of Open: peak memory is one chunk plus
-	// whatever the handler retains. See StreamHandler.
+	// tombstones interleaved in commit order — and returns the replayable
+	// epoch log. It is the store's only read path: Load rebuilds the table
+	// through it, and it holds one chunk at a time plus whatever the
+	// handler retains. See StreamHandler.
 	Stream(name string, h StreamHandler) ([]Epoch, error)
 	// AppendEpoch durably records an append epoch: the chunk holds the
 	// appended records and any dictionary labels they introduced.
@@ -135,12 +127,75 @@ var (
 	// recoverable (a torn tail after a commit, by contrast, is silently
 	// discarded as the crash-safety contract specifies).
 	ErrTruncated = errors.New("store: dataset file truncated before first commit")
-	// ErrUnknownDataset reports an Open/append/delete of a name the
+	// ErrUnknownDataset reports a read/append/delete of a name the
 	// backend does not hold.
 	ErrUnknownDataset = errors.New("store: unknown dataset")
 	// ErrExists rejects Create over a name already committed or pending.
 	ErrExists = errors.New("store: dataset already exists")
 )
+
+// Load materializes a dataset from its committed history: the table with
+// every committed epoch applied, plus the replayable epoch log. It replays
+// Backend.Stream into a table pre-grown to the final row count, applying
+// each chunk's dictionary delta and values and each tombstone's deletion
+// in commit order.
+func Load(b Backend, name string) (*dataset.Table, []Epoch, error) {
+	var l loader
+	epochs, err := b.Stream(name, l.handler())
+	if err != nil {
+		return nil, nil, err
+	}
+	return l.tbl, epochs, nil
+}
+
+// loader is the replay state of Load.
+type loader struct {
+	tbl *dataset.Table
+}
+
+func (l *loader) handler() StreamHandler {
+	return StreamHandler{Begin: l.begin, Chunk: l.chunk, Tombstone: l.tombstone}
+}
+
+func (l *loader) begin(schema *dataset.Schema, rows int) error {
+	tbl, err := dataset.NewTable(schema)
+	if err != nil {
+		return err
+	}
+	tbl.Grow(rows)
+	l.tbl = tbl
+	return nil
+}
+
+// chunk applies one chunk. A chunk the table rejects (a duplicate
+// dictionary label, a code outside the dictionary) is invalid stored data,
+// not a caller mistake.
+func (l *loader) chunk(ch ColumnChunk) error {
+	if err := applyChunk(l.tbl, ch); err != nil {
+		return corruptf("applying chunk: %v", err)
+	}
+	return nil
+}
+
+// tombstone drops the given rows (ascending, unique, in range — the
+// StreamHandler contract).
+func (l *loader) tombstone(ids []int) error {
+	keep := make([]int, 0, l.tbl.Len()-len(ids))
+	ti := 0
+	for r := 0; r < l.tbl.Len(); r++ {
+		if ti < len(ids) && ids[ti] == r {
+			ti++
+			continue
+		}
+		keep = append(keep, r)
+	}
+	sub, err := l.tbl.Subset(keep)
+	if err != nil {
+		return err
+	}
+	l.tbl = sub
+	return nil
+}
 
 // Write snapshots an in-memory table into the backend under name, in
 // chunks of writeChunkRows records, and commits. It is the non-streaming

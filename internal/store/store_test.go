@@ -113,7 +113,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			if err := Write(b, name, tbl); err != nil {
 				t.Fatalf("%s trial %d: %v", kind, trial, err)
 			}
-			got, epochs, err := b.Open(name)
+			got, epochs, err := Load(b, name)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", kind, trial, err)
 			}
@@ -126,7 +126,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reopened, _, err := fresh.Open(name)
+				reopened, _, err := Load(fresh, name)
 				if err != nil {
 					t.Fatalf("reopen trial %d: %v", trial, err)
 				}
@@ -162,21 +162,7 @@ func TestEpochReplayProperty(t *testing.T) {
 						t.Fatalf("%s delete: %v", kind, err)
 					}
 					wantEpochs = append(wantEpochs, Epoch{OldToNew: oldToNewMap(cur.Len(), ids)})
-					keep := make([]int, 0, cur.Len())
-					seen := make(map[int]bool, len(ids))
-					for _, id := range ids {
-						seen[id] = true
-					}
-					for r := 0; r < cur.Len(); r++ {
-						if !seen[r] {
-							keep = append(keep, r)
-						}
-					}
-					sub, err := cur.Subset(keep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cur = sub
+					cur = withoutRows(t, cur, ids)
 					continue
 				}
 				from, lens := cur.Len(), DictLens(cur)
@@ -200,7 +186,7 @@ func TestEpochReplayProperty(t *testing.T) {
 				wantEpochs = append(wantEpochs, Epoch{Appended: n})
 			}
 			check := func(label string, open Backend) {
-				got, epochs, err := open.Open(name)
+				got, epochs, err := Load(open, name)
 				if err != nil {
 					t.Fatalf("%s %s open: %v", kind, label, err)
 				}
@@ -292,7 +278,7 @@ func TestTornTailRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, epochs, err := b.Open("ds")
+		tbl, epochs, err := Load(b, "ds")
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -306,7 +292,7 @@ func TestTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := NewFileBackend(dir)
-	tbl, epochs, err := b.Open("ds")
+	tbl, epochs, err := Load(b, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +315,7 @@ func TestCorruptAndTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = b.Open("ds")
+		_, _, err = Load(b, "ds")
 		return err
 	}
 	// Flip one byte at several places inside the committed region.
@@ -364,7 +350,7 @@ func TestCorruptAndTruncated(t *testing.T) {
 
 func TestBackendErrors(t *testing.T) {
 	for kind, b := range backends(t) {
-		if _, _, err := b.Open("nope"); !errors.Is(err, ErrUnknownDataset) {
+		if _, _, err := Load(b, "nope"); !errors.Is(err, ErrUnknownDataset) {
 			t.Errorf("%s: open missing: %v", kind, err)
 		}
 		if err := b.Remove("nope"); !errors.Is(err, ErrUnknownDataset) {
@@ -451,7 +437,7 @@ func TestIngestCSVMatchesReadCSV(t *testing.T) {
 		if stats.MaxBufferedBytes > budget {
 			t.Fatalf("%s: buffered %d bytes, budget %d", kind, stats.MaxBufferedBytes, budget)
 		}
-		got, _, err := b.Open("ds")
+		got, _, err := Load(b, "ds")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +488,7 @@ func TestIngestMillionRowsBounded(t *testing.T) {
 	if stats.Chunks < rows*8*src.Width()/budget/2 {
 		t.Fatalf("suspiciously few chunks (%d) for budget %d", stats.Chunks, budget)
 	}
-	got, _, err := b.Open("big")
+	got, _, err := Load(b, "big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,23 +497,5 @@ func TestIngestMillionRowsBounded(t *testing.T) {
 	}
 	if TableHash(got) != TableHash(src) {
 		t.Fatal("reopened table hash differs from source")
-	}
-}
-
-// Chunks streams the same content Open materializes.
-func TestChunksStream(t *testing.T) {
-	tbl := randomTable(rand.New(rand.NewSource(9)))
-	for kind, b := range backends(t) {
-		if err := Write(b, "ds", tbl); err != nil {
-			t.Fatal(err)
-		}
-		rebuilt := dataset.MustTable(tbl.Schema())
-		err := b.Chunks("ds", func(s *dataset.Schema, ch ColumnChunk) error {
-			return applyChunk(rebuilt, ch)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		requireTablesIdentical(t, tbl, rebuilt)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// Stream must replay the exact committed history Open materializes —
-// chunks and tombstones interleaved in commit order — so a handler that
-// applies every event reconstructs a bit-identical table, on both
-// backends, across random epoch histories.
+// Stream must replay the committed history — the snapshot chunk, then
+// each epoch's chunk or tombstone, in commit order — and Load, which
+// rebuilds the table from that replay, must reproduce the table and epoch
+// log the test maintains itself, on both backends, across random epoch
+// histories.
 func TestStreamReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 15; trial++ {
@@ -25,6 +26,8 @@ func TestStreamReplayProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			cur := tbl.Clone()
+			var wantEpochs []Epoch
+			wantEvents := []string{fmt.Sprintf("chunk %d", tbl.Len())}
 			for e := 0; e < 4; e++ {
 				if cur.Len() > 2 && rng.Intn(2) == 0 {
 					var ids []int
@@ -36,21 +39,9 @@ func TestStreamReplayProperty(t *testing.T) {
 					if err := b.DeleteEpoch(name, ids); err != nil {
 						t.Fatalf("%s delete: %v", kind, err)
 					}
-					keep := make([]int, 0, cur.Len())
-					seen := make(map[int]bool, len(ids))
-					for _, id := range ids {
-						seen[id] = true
-					}
-					for r := 0; r < cur.Len(); r++ {
-						if !seen[r] {
-							keep = append(keep, r)
-						}
-					}
-					sub, err := cur.Subset(keep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cur = sub
+					wantEpochs = append(wantEpochs, Epoch{OldToNew: oldToNewMap(cur.Len(), ids)})
+					wantEvents = append(wantEvents, fmt.Sprintf("tombstone %v", ids))
+					cur = withoutRows(t, cur, ids)
 					continue
 				}
 				from, lens := cur.Len(), DictLens(cur)
@@ -71,49 +62,42 @@ func TestStreamReplayProperty(t *testing.T) {
 				if err := AppendRows(b, name, cur, from, lens); err != nil {
 					t.Fatalf("%s append: %v", kind, err)
 				}
+				wantEpochs = append(wantEpochs, Epoch{Appended: n})
+				wantEvents = append(wantEvents, fmt.Sprintf("chunk %d", n))
 			}
 
-			wantTbl, wantEpochs, err := b.Open(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rebuilt *dataset.Table
+			var events []string
 			beginRows := -1
-			epochs, err := b.Stream(name, StreamHandler{
-				Begin: func(s *dataset.Schema, rows int) error {
+			if _, err := b.Stream(name, StreamHandler{
+				Begin: func(_ *dataset.Schema, rows int) error {
 					beginRows = rows
-					var err error
-					rebuilt, err = dataset.NewTable(s)
-					return err
-				},
-				Chunk: func(ch ColumnChunk) error { return applyChunk(rebuilt, ch) },
-				Tombstone: func(ids []int) error {
-					keep := make([]int, 0, rebuilt.Len()-len(ids))
-					ti := 0
-					for r := 0; r < rebuilt.Len(); r++ {
-						if ti < len(ids) && ids[ti] == r {
-							ti++
-							continue
-						}
-						keep = append(keep, r)
-					}
-					sub, err := rebuilt.Subset(keep)
-					if err != nil {
-						return err
-					}
-					rebuilt = sub
 					return nil
 				},
-			})
-			if err != nil {
+				Chunk: func(ch ColumnChunk) error {
+					events = append(events, fmt.Sprintf("chunk %d", ch.Rows))
+					return nil
+				},
+				Tombstone: func(ids []int) error {
+					events = append(events, fmt.Sprintf("tombstone %v", ids))
+					return nil
+				},
+			}); err != nil {
 				t.Fatalf("%s stream: %v", kind, err)
 			}
-			if beginRows != wantTbl.Len() {
-				t.Fatalf("%s: Begin rows hint %d, final table has %d", kind, beginRows, wantTbl.Len())
+			if beginRows != cur.Len() {
+				t.Fatalf("%s: Begin rows hint %d, final table has %d", kind, beginRows, cur.Len())
 			}
-			requireTablesIdentical(t, wantTbl, rebuilt)
+			if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
+				t.Fatalf("%s: stream events %v, want %v", kind, events, wantEvents)
+			}
+
+			got, epochs, err := Load(b, name)
+			if err != nil {
+				t.Fatalf("%s load: %v", kind, err)
+			}
+			requireTablesIdentical(t, cur, got)
 			if len(epochs) != len(wantEpochs) {
-				t.Fatalf("%s: stream returned %d epochs, Open %d", kind, len(epochs), len(wantEpochs))
+				t.Fatalf("%s: load returned %d epochs, want %d", kind, len(epochs), len(wantEpochs))
 			}
 			for i := range epochs {
 				if epochs[i].Appended != wantEpochs[i].Appended ||
@@ -121,6 +105,55 @@ func TestStreamReplayProperty(t *testing.T) {
 					t.Fatalf("%s epoch %d: %+v, want %+v", kind, i, epochs[i], wantEpochs[i])
 				}
 			}
+		}
+	}
+}
+
+// withoutRows returns tbl minus the given rows, renumbered densely.
+func withoutRows(t *testing.T, tbl *dataset.Table, ids []int) *dataset.Table {
+	t.Helper()
+	drop := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		drop[id] = true
+	}
+	keep := make([]int, 0, tbl.Len())
+	for r := 0; r < tbl.Len(); r++ {
+		if !drop[r] {
+			keep = append(keep, r)
+		}
+	}
+	sub, err := tbl.Subset(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// A snapshot committed with no chunk at all, followed by a deletion epoch
+// that removes nothing, must load as an empty table with that one epoch on
+// every backend — the tombstone replays against the table Begin made.
+func TestLoadZeroChunkSnapshotThenDelete(t *testing.T) {
+	schema := randomTable(rand.New(rand.NewSource(14))).Schema()
+	for kind, b := range backends(t) {
+		w, err := b.Create("ds", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DeleteEpoch("ds", nil); err != nil {
+			t.Fatalf("%s delete: %v", kind, err)
+		}
+		tbl, epochs, err := Load(b, "ds")
+		if err != nil {
+			t.Fatalf("%s load: %v", kind, err)
+		}
+		if tbl == nil || tbl.Len() != 0 || !tbl.Schema().Equal(schema) {
+			t.Fatalf("%s: loaded %v, want an empty table over the schema", kind, tbl)
+		}
+		if len(epochs) != 1 || epochs[0].OldToNew == nil || len(epochs[0].OldToNew) != 0 {
+			t.Fatalf("%s: epochs %+v, want one empty deletion epoch", kind, epochs)
 		}
 	}
 }

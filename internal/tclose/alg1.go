@@ -230,7 +230,7 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 		st.rows[i] = append([]int(nil), c.Rows...)
 		st.hists[i] = p.newHistSet(c.Rows)
 		st.emds[i] = st.hists[i].emd()
-		st.centroid[i] = micro.Centroid(p.points, c.Rows)
+		st.centroid[i] = p.mat.CentroidRows(c.Rows, nil)
 		st.alive[i] = true
 		if st.emds[i] > 0 {
 			st.worst.push(worstEntry{emd: st.emds[i], idx: i})

@@ -88,11 +88,12 @@ func referenceMergeUntilTClose(p *problem, clusters []micro.Cluster) ([]micro.Cl
 		alive:    make([]bool, len(clusters)),
 		nAlive:   len(clusters),
 	}
+	points := p.pointsCopy()
 	for i, c := range clusters {
 		st.rows[i] = append([]int(nil), c.Rows...)
 		st.hists[i] = p.newHistSet(c.Rows)
 		st.emds[i] = st.hists[i].emd()
-		st.centroid[i] = micro.Centroid(p.points, c.Rows)
+		st.centroid[i] = micro.Centroid(points, c.Rows)
 		st.alive[i] = true
 	}
 	merges := 0
@@ -152,7 +153,7 @@ func TestMergeHeapMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clusters, err := micro.MDAV(p.points, tc.k)
+		clusters, err := micro.MDAV(p.pointsCopy(), tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,15 +19,15 @@ import (
 // identical, not merely close.
 
 // referenceGenerateCluster is the pre-optimization swap refinement.
-func referenceGenerateCluster(p *problem, x int, avail []int) (cluster []int, swaps int) {
+func referenceGenerateCluster(p *problem, points [][]float64, x int, avail []int) (cluster []int, swaps int) {
 	if len(avail) < 2*p.k {
 		return append([]int(nil), avail...), 0
 	}
 	cands := make([]int, len(avail))
 	copy(cands, avail)
-	px := p.points[x]
+	px := points[x]
 	sort.Slice(cands, func(i, j int) bool {
-		di, dj := micro.Dist2(p.points[cands[i]], px), micro.Dist2(p.points[cands[j]], px)
+		di, dj := micro.Dist2(points[cands[i]], px), micro.Dist2(points[cands[j]], px)
 		if di != dj {
 			return di < dj
 		}
@@ -61,6 +61,7 @@ func referenceGenerateCluster(p *problem, x int, avail []int) (cluster []int, sw
 // fresh centroid rescan per round and map-based removal.
 func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 	n := p.table.Len()
+	points := p.pointsCopy()
 	avail := make([]int, n)
 	for i := range avail {
 		avail[i] = i
@@ -81,7 +82,7 @@ func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 	farthest := func(rows []int, q []float64) int {
 		best, bestD := -1, -1.0
 		for _, r := range rows {
-			if d := micro.Dist2(p.points[r], q); d > bestD {
+			if d := micro.Dist2(points[r], q); d > bestD {
 				best, bestD = r, d
 			}
 		}
@@ -90,17 +91,17 @@ func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 	var clusters []micro.Cluster
 	swaps := 0
 	for len(avail) > 0 {
-		xa := micro.Centroid(p.points, avail)
+		xa := micro.Centroid(points, avail)
 		x0 := farthest(avail, xa)
-		c, s := referenceGenerateCluster(p, x0, avail)
+		c, s := referenceGenerateCluster(p, points, x0, avail)
 		swaps += s
 		avail = removeSorted(avail, c)
 		clusters = append(clusters, micro.Cluster{Rows: c})
 		if len(avail) == 0 {
 			break
 		}
-		x1 := farthest(avail, p.points[x0])
-		c, s = referenceGenerateCluster(p, x1, avail)
+		x1 := farthest(avail, points[x0])
+		c, s = referenceGenerateCluster(p, points, x1, avail)
 		swaps += s
 		avail = removeSorted(avail, c)
 		clusters = append(clusters, micro.Cluster{Rows: c})

@@ -14,9 +14,9 @@ import (
 )
 
 // Prepared is the reusable per-table substrate shared by the three
-// algorithms: the normalized quasi-identifier geometry (both the row-major
-// point slices of the public Partitioner interface and the flat
-// stride-indexed Matrix of the hot distance scans), one EMD space per
+// algorithms: the normalized quasi-identifier geometry (one flat
+// stride-indexed Matrix, read by the hot distance scans and the centroid
+// computations, and copied for custom Partitioners), one EMD space per
 // confidential attribute, the packed per-record confidential-bin
 // signatures, and lazily materialized derived state (the confidential
 // ranking, partition caches). Preparing once and running many (k, t)
@@ -29,7 +29,6 @@ import (
 // immutable afterwards, and the lazy pieces are guarded internally.
 type Prepared struct {
 	table  *dataset.Table
-	points [][]float64
 	mat    *micro.Matrix
 	spaces []*emd.Space
 	norm   dataset.NormParams
@@ -98,39 +97,7 @@ func Prepare(t *dataset.Table) (*Prepared, error) {
 	if err := t.Schema().Validate(); err != nil {
 		return nil, err
 	}
-	// Numeric (and ordinal, if encoded as numbers) confidential attributes
-	// use the paper's ordered-distance EMD; nominal categorical attributes
-	// use the equal-ground-distance (total variation) EMD, implementing the
-	// categorical extension the paper's conclusions call for.
-	cols := t.Schema().Confidentials()
-	spaces := make([]*emd.Space, len(cols))
-	for i, c := range cols {
-		var s *emd.Space
-		var err error
-		if t.Schema().Attr(c).Kind == dataset.Categorical {
-			s, err = emd.NewNominalSpace(t.ColumnView(c))
-		} else {
-			s, err = emd.NewSpace(t.ColumnView(c))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tclose: building EMD space for %q: %w",
-				t.Schema().Attr(c).Name, err)
-		}
-		spaces[i] = s
-	}
-	// QIMatrixTail(0, norm) is the full QIMatrix under an explicit frame,
-	// reusing the min-max pass instead of scanning the columns twice.
-	norm := t.QINormParams()
-	points := t.QIMatrixTail(0, norm)
-	p := &Prepared{
-		table:  t,
-		points: points,
-		mat:    micro.NewMatrix(points),
-		spaces: spaces,
-		norm:   norm,
-	}
-	p.initSignatures()
-	return p, nil
+	return extend(nil, t)
 }
 
 // Table returns the table the substrate was prepared over.
@@ -148,16 +115,11 @@ func (p *Prepared) Spaces() []*emd.Space { return p.spaces }
 // custom Partitioners, which are not bound to read-only use, so that a
 // writing partitioner can never corrupt the substrate shared by other runs.
 func (p *Prepared) pointsCopy() [][]float64 {
-	out := make([][]float64, len(p.points))
-	dim := 0
-	if len(p.points) > 0 {
-		dim = len(p.points[0])
-	}
-	flat := make([]float64, len(p.points)*dim)
-	for i, row := range p.points {
-		dst := flat[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(dst, row)
-		out[i] = dst
+	n, dim := p.mat.N(), p.mat.Dim()
+	flat := append([]float64(nil), p.mat.Rows(0, n)...)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return out
 }
@@ -212,12 +174,12 @@ func (p *Prepared) initSignatures() {
 // prepared over (same schema, values appended behind them). It recomputes
 // only invalidated pieces: EMD spaces extend incrementally (emd.Space
 // .Extend), and when no appended value widens a quasi-identifier's min-max
-// range the normalized matrix is extended in place of a full
-// renormalization. Everything — spaces, matrix, and therefore every
-// partition — is bit-identical to a cold Prepare over the extended table.
-// Tuning and an enabled index cache carry over to the new matrix (with a
-// fresh, unbuilt master); partition caches and the confidential ranking
-// start cold, since every row set change invalidates them.
+// range only the appended rows are normalized. Everything — spaces,
+// matrix, and therefore every partition — is bit-identical to a cold
+// Prepare over the extended table. Tuning and an enabled index cache carry
+// over to the new matrix (with a fresh, unbuilt master); partition caches
+// and the confidential ranking start cold, since every row set change
+// invalidates them.
 func (p *Prepared) Extend(t *dataset.Table) (*Prepared, error) {
 	if t == nil || t.Len() < p.table.Len() {
 		return nil, errors.New("tclose: extended table is shorter than the prepared one")
@@ -225,50 +187,60 @@ func (p *Prepared) Extend(t *dataset.Table) (*Prepared, error) {
 	if !t.Schema().Equal(p.table.Schema()) {
 		return nil, errors.New("tclose: extended table has a different schema")
 	}
-	old := p.table.Len()
-	cols := t.Schema().Confidentials()
-	if len(cols) != len(p.spaces) {
-		return nil, errors.New("tclose: confidential attributes changed")
+	return extend(p, t)
+}
+
+// extend is the one substrate constructor: it builds the Prepared over t
+// from prev, the substrate of t's first prev.Table().Len() records. A nil
+// prev stands for zero records, which is Prepare. The quasi-identifier
+// columns are normalized straight into the matrix backing — only the
+// appended rows when the min-max frame is unchanged (every earlier row is
+// then bit-identical and copied), all of them when it moved.
+func extend(prev *Prepared, t *dataset.Table) (*Prepared, error) {
+	old := 0
+	if prev != nil {
+		old = prev.table.Len()
 	}
+	// Numeric (and ordinal, if encoded as numbers) confidential attributes
+	// use the paper's ordered-distance EMD; nominal categorical attributes
+	// use the equal-ground-distance (total variation) EMD, implementing the
+	// categorical extension the paper's conclusions call for.
+	cols := t.Schema().Confidentials()
 	spaces := make([]*emd.Space, len(cols))
 	for i, c := range cols {
-		s, err := p.spaces[i].Extend(t.ColumnView(c)[old:])
+		var s *emd.Space
+		var err error
+		switch {
+		case prev != nil:
+			s, err = prev.spaces[i].Extend(t.ColumnView(c)[old:])
+		case t.Schema().Attr(c).Kind == dataset.Categorical:
+			s, err = emd.NewNominalSpace(t.ColumnView(c))
+		default:
+			s, err = emd.NewSpace(t.ColumnView(c))
+		}
 		if err != nil {
-			return nil, fmt.Errorf("tclose: extending EMD space for %q: %w",
+			return nil, fmt.Errorf("tclose: building EMD space for %q: %w",
 				t.Schema().Attr(c).Name, err)
 		}
 		spaces[i] = s
 	}
 	norm := t.QINormParams()
-	var mat *micro.Matrix
-	var points [][]float64
-	if norm.Equal(p.norm) {
-		// No appended value widened any quasi-identifier range: every old
-		// normalized row is unchanged, so only the tail is normalized.
-		mat = p.mat.AppendRowsCopy(t.QIMatrixTail(old, norm))
-		// The Partitioner interface hands points to arbitrary callers, so
-		// they must not alias the matrix backing (a writing partitioner
-		// would otherwise corrupt the shared matrix and its index cache) —
-		// same insulation the cold path gets from NewMatrix's copy.
-		points = make([][]float64, mat.N())
-		for i := range points {
-			points[i] = append([]float64(nil), mat.Row(i)...)
-		}
-	} else {
-		points = t.QIMatrix()
-		mat = micro.NewMatrix(points)
-		mat.SetTuning(p.mat.TuningOf())
-		if p.mat.IndexCacheEnabled() {
+	dim := len(norm.Mins)
+	data := make([]float64, t.Len()*dim)
+	from := 0
+	if prev != nil && norm.Equal(prev.norm) {
+		copy(data, prev.mat.Rows(0, old))
+		from = old
+	}
+	t.NormalizeQIInto(data[from*dim:], from, t.Len(), norm)
+	mat := micro.NewMatrixFlat(data, dim)
+	if prev != nil {
+		mat.SetTuning(prev.mat.TuningOf())
+		if prev.mat.IndexCacheEnabled() {
 			mat.EnableIndexCache()
 		}
 	}
-	out := &Prepared{
-		table:  t,
-		points: points,
-		mat:    mat,
-		spaces: spaces,
-		norm:   norm,
-	}
+	out := &Prepared{table: t, mat: mat, spaces: spaces, norm: norm}
 	out.initSignatures()
 	return out, nil
 }

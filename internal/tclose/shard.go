@@ -156,7 +156,7 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 func (p *problem) shardMDAV(rows []int) ([]micro.Cluster, error) {
 	pts := make([][]float64, len(rows))
 	for j, r := range rows {
-		pts[j] = p.points[r]
+		pts[j] = p.mat.Row(r)
 	}
 	sub := micro.NewMatrix(pts)
 	tun := p.mat.TuningOf()
@@ -215,13 +215,13 @@ func (p *problem) reconcileShards(perShard [][]micro.Cluster) (*Result, error) {
 		if small < 0 || nAlive <= 1 {
 			break
 		}
-		sc := micro.Centroid(p.points, rows[small])
+		sc := p.mat.CentroidRows(rows[small], nil)
 		best, bestD := -1, 0.0
 		for j := range rows {
 			if !alive[j] || j == small {
 				continue
 			}
-			if d := micro.Dist2(sc, micro.Centroid(p.points, rows[j])); best < 0 || d < bestD {
+			if d := micro.Dist2(sc, p.mat.CentroidRows(rows[j], nil)); best < 0 || d < bestD {
 				best, bestD = j, d
 			}
 		}

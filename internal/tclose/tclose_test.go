@@ -1,9 +1,11 @@
 package tclose
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/micro"
 	"repro/internal/synth"
 )
 
@@ -104,5 +106,68 @@ func TestClusterEMDMatchesHistSet(t *testing.T) {
 	rows := []int{3, 77, 400, 999}
 	if a, b := p.clusterEMD(rows), p.newHistSet(rows).emd(); a != b {
 		t.Errorf("clusterEMD %v != histSet emd %v", a, b)
+	}
+}
+
+// Extend must carry the matrix tuning and index-cache enablement over to
+// the new matrix, leave the receiver's matrix untouched, and normalize
+// bit-identically to a cold Prepare — on both branches of the shared
+// constructor: appended rows inside the quasi-identifier ranges (old rows
+// copied, only the tail normalized) and a row that widens a range (every
+// row renormalized).
+func TestExtendMatchesPrepareAndCarriesMatrixSettings(t *testing.T) {
+	base := dataset.MustTable(dataset.MustSchema(
+		dataset.Attribute{Name: "q1", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
+		dataset.Attribute{Name: "q2", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
+		dataset.Attribute{Name: "s", Role: dataset.Confidential, Kind: dataset.Numeric},
+	))
+	for r := 0; r < 60; r++ {
+		if err := base.AppendNumericRow(float64(r%7), float64(r%11)*1.5, float64(r%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tun := micro.Tuning{Workers: 2, IndexCrossover: 8}
+	for name, tail := range map[string][][]float64{
+		"inside":  {{3, 4.5, 1}, {6, 0, 7}},
+		"widened": {{3, 4.5, 1}, {100, 0, 2}},
+	} {
+		ext := base.Clone()
+		for _, row := range tail {
+			if err := ext.AppendNumericRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prep, err := Prepare(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep.Matrix().SetTuning(tun)
+		prep.Matrix().EnableIndexCache()
+		got, err := prep.Extend(ext)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Prepare(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Matrix().TuningOf() != tun || !got.Matrix().IndexCacheEnabled() {
+			t.Errorf("%s: tuning %+v, index cache %v; want %+v and enabled",
+				name, got.Matrix().TuningOf(), got.Matrix().IndexCacheEnabled(), tun)
+		}
+		if prep.Matrix().N() != base.Len() {
+			t.Errorf("%s: receiver matrix grew to %d rows", name, prep.Matrix().N())
+		}
+		if got.Matrix().N() != ext.Len() || got.Matrix().Dim() != want.Matrix().Dim() {
+			t.Fatalf("%s: extended matrix %dx%d, want %dx%d", name,
+				got.Matrix().N(), got.Matrix().Dim(), ext.Len(), want.Matrix().Dim())
+		}
+		for i := 0; i < ext.Len(); i++ {
+			for j, v := range want.Matrix().Row(i) {
+				if g := got.Matrix().Row(i)[j]; math.Float64bits(g) != math.Float64bits(v) {
+					t.Fatalf("%s: row %d col %d: extended %v, cold %v", name, i, j, g, v)
+				}
+			}
+		}
 	}
 }

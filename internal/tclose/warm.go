@@ -131,7 +131,7 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		}
 		cents := make([][]float64, len(rows))
 		for i, rs := range rows {
-			cents[i] = micro.Centroid(p.points, rs)
+			cents[i] = p.mat.CentroidRows(rs, nil)
 		}
 		cm := micro.NewMatrix(cents)
 		cm.SetTuning(p.mat.TuningOf())
@@ -180,13 +180,13 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		if small < 0 || nAlive <= 1 {
 			break
 		}
-		sc := micro.Centroid(p.points, rows[small])
+		sc := p.mat.CentroidRows(rows[small], nil)
 		best, bestD := -1, 0.0
 		for j := range rows {
 			if !alive[j] || j == small {
 				continue
 			}
-			if d := micro.Dist2(sc, micro.Centroid(p.points, rows[j])); best < 0 || d < bestD {
+			if d := micro.Dist2(sc, p.mat.CentroidRows(rows[j], nil)); best < 0 || d < bestD {
 				best, bestD = j, d
 			}
 		}
@@ -221,7 +221,7 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		members := rows[i]
 		pts := make([][]float64, len(members))
 		for j, r := range members {
-			pts[j] = p.points[r]
+			pts[j] = p.mat.Row(r)
 		}
 		sub := micro.NewMatrix(pts)
 		sub.SetTuning(p.mat.TuningOf())
@@ -365,7 +365,7 @@ func (p *problem) warmMergeUntilTClose(clusters [][]int, scratch histSet) ([]mic
 	var worst worstHeap
 	for i, rows := range clusters {
 		emds[i] = scratch.emdOf(rows)
-		cents[i] = micro.Centroid(p.points, rows)
+		cents[i] = p.mat.CentroidRows(rows, nil)
 		alive[i] = true
 		if emds[i] > p.t {
 			worst.push(worstEntry{emd: emds[i], idx: i})

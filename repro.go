@@ -105,13 +105,8 @@
 //	// snapshot a table you already hold with repro.Create.
 //	stats, err := repro.IngestCSV(st, "patients", csvReader, 0)
 //
-//	eng, err := repro.Open(st, "patients")       // materialize + prepare
+//	eng, err := repro.Open(st, "patients")       // stream chunks into the table, prepare once
 //	res, err := eng.Run(ctx, spec)
-//
-//	// Tables near the RAM ceiling: OpenStreaming builds the same engine
-//	// chunk-at-a-time under a byte budget, never holding a second full
-//	// copy of the raw table (releases stay bit-identical to Open's).
-//	eng, err = repro.OpenStreaming(st, "patients", 8<<20)
 //
 //	// Epochs on an opened engine write through: each Append/Delete is
 //	// durable (fsynced, checksummed) before it becomes visible to runs.
@@ -284,20 +279,11 @@ func FileStore(dir string) (Store, error) { return store.NewFileBackend(dir) }
 // FileStore, for tests and ephemeral use.
 func MemStore() Store { return store.NewMemBackend() }
 
-// Open materializes a stored dataset and prepares an engine over it with
-// its epoch history restored; Append/Delete on the opened engine persist
-// durably before becoming visible. See core.Open.
+// Open rebuilds a stored dataset from its committed history and prepares
+// an engine over it once, with its epoch history restored; Append/Delete
+// on the opened engine persist durably before becoming visible. See
+// core.Open.
 func Open(s Store, name string, opts ...Option) (*Engine, error) { return core.Open(s, name, opts...) }
-
-// OpenStreaming is Open under a memory budget: the engine substrate is
-// built chunk-at-a-time from the store's committed history, so peak
-// memory during the open is bounded by the budget (<= 0 picks a default)
-// plus the substrate itself — never a second full copy of the raw table.
-// The opened engine is bit-identical to Open's (same TableHash, same
-// releases); see core.OpenStreaming.
-func OpenStreaming(s Store, name string, budget int, opts ...Option) (*Engine, error) {
-	return core.OpenStreaming(s, name, budget, opts...)
-}
 
 // Create snapshots a table into the store under name and opens an engine
 // over it; see core.Create.
