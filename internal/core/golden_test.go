@@ -51,9 +51,28 @@ type goldenCell struct {
 }
 
 type goldenDoc struct {
-	N     int          `json:"n"`
-	Seed  int64        `json:"seed"`
-	Cells []goldenCell `json:"cells"`
+	N     int              `json:"n"`
+	Seed  int64            `json:"seed"`
+	Cells []goldenCell     `json:"cells"`
+	Warm  []goldenWarmCell `json:"warm_cells"`
+}
+
+// goldenWarmCell is the pinned outcome of one warm re-release on the
+// patients fixture: the run after an append epoch, or the run after the
+// delete epoch that follows it, whose tombstones leave clusters undersized
+// so the repair folds them.
+type goldenWarmCell struct {
+	Algorithm  Algorithm `json:"algorithm"`
+	K          int       `json:"k"`
+	T          float64   `json:"t"`
+	Epoch      string    `json:"epoch"`
+	Partition  string    `json:"partition_sha256"`
+	Output     string    `json:"output_sha256"`
+	MaxEMD     string    `json:"max_emd_hex"`
+	EffectiveK int       `json:"effective_k"`
+	Merges     int       `json:"merges"`
+	Swaps      int       `json:"swaps"`
+	Warm       WarmStats `json:"warm"`
 }
 
 // goldenFixture is one (table, algorithms) pairing of the conformance
@@ -151,6 +170,7 @@ func TestGoldenConformance(t *testing.T) {
 			}
 		}
 	}
+	got.Warm = goldenWarmCells(t)
 	if *updateGolden {
 		enc, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -190,6 +210,83 @@ func TestGoldenConformance(t *testing.T) {
 				w.Dataset, w.Algorithm, w.K, w.T, g, w)
 		}
 	}
+	if len(want.Warm) != len(got.Warm) {
+		t.Fatalf("fixture has %d warm cells, test produced %d (regenerate with -update-golden)",
+			len(want.Warm), len(got.Warm))
+	}
+	for i, w := range want.Warm {
+		if g := got.Warm[i]; w != g {
+			t.Errorf("warm cell %v k=%d t=%v after %s diverges from golden fixture:\n got %+v\nwant %+v",
+				w.Algorithm, w.K, w.T, w.Epoch, g, w)
+		}
+	}
+}
+
+// goldenWarmCells seeds a warm cache for each paper algorithm on the
+// patients fixture, appends 24 rows (the fixture generator's next rows),
+// re-releases warm, deletes every fifth row and re-releases warm again.
+// The delete epoch must fold undersized clusters, so the cells pin the
+// assign, fold and finishing-merge passes of the warm repair.
+func goldenWarmCells(t *testing.T) []goldenWarmCell {
+	t.Helper()
+	const n, extra = 240, 24
+	full := synth.PatientDischarge(n+extra, 7)
+	var dead []int
+	for r := 0; r < n+extra; r += 5 {
+		dead = append(dead, r)
+	}
+	ctx := context.Background()
+	var cells []goldenWarmCell
+	for _, alg := range []Algorithm{Merge, KAnonymityFirst, TClosenessFirst} {
+		base, err := full.Subset(iota0(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := Spec{Algorithm: alg, K: 3, T: 0.15, SkipAssessment: true, Warm: true}
+		if _, err := eng.Run(ctx, spec); err != nil { // seeds the warm cache
+			t.Fatalf("warm %v seed: %v", alg, err)
+		}
+		epochs := []struct {
+			name string
+			do   func() error
+		}{
+			{"append", func() error { return eng.Append(appendRows(full, n, n+extra)...) }},
+			{"delete", func() error { return eng.Delete(dead...) }},
+		}
+		for _, ep := range epochs {
+			if err := ep.do(); err != nil {
+				t.Fatalf("warm %v %s epoch: %v", alg, ep.name, err)
+			}
+			res, err := eng.Run(ctx, spec)
+			if err != nil {
+				t.Fatalf("warm %v after %s: %v", alg, ep.name, err)
+			}
+			if res.Warm == nil {
+				t.Fatalf("warm %v after %s: run missed the warm cache", alg, ep.name)
+			}
+			if ep.name == "delete" && res.Warm.Folded == 0 {
+				t.Fatalf("warm %v after delete: no cluster folded, the cell does not cover the fold pass", alg)
+			}
+			cells = append(cells, goldenWarmCell{
+				Algorithm:  alg,
+				K:          spec.K,
+				T:          spec.T,
+				Epoch:      ep.name,
+				Partition:  hashPartition(res),
+				Output:     hashOutput(res.Anonymized),
+				MaxEMD:     strconv.FormatFloat(res.MaxEMD, 'x', -1, 64),
+				EffectiveK: res.EffectiveK,
+				Merges:     res.Merges,
+				Swaps:      res.Swaps,
+				Warm:       *res.Warm,
+			})
+		}
+	}
+	return cells
 }
 
 // TestGoldenConformanceWorkerSweep re-runs a tight grid corner of every

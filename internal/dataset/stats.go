@@ -103,6 +103,12 @@ func (t *Table) Stats(col int) ColumnStats {
 	}
 }
 
+// MinMax returns the smallest and largest value of column col (0, 0 for
+// an empty table) in one pass, without the sort Stats pays for Distinct.
+func (t *Table) MinMax(col int) (lo, hi float64) {
+	return minMax(t.cols[col][:t.rows])
+}
+
 // Correlation returns the Pearson correlation between two columns of the
 // table.
 func (t *Table) Correlation(colA, colB int) (float64, error) {

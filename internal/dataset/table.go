@@ -276,15 +276,24 @@ func (t *Table) Row(row int) []float64 {
 
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
+	c := t.cloneFrame()
+	for i, col := range t.cols {
+		c.cols[i] = append([]float64(nil), col...)
+	}
+	c.rows = t.rows
+	return c
+}
+
+// cloneFrame returns an empty table with t's schema and independent copies
+// of its dictionaries: everything of a deep copy but the column values.
+func (t *Table) cloneFrame() *Table {
 	c := &Table{
 		schema: t.schema,
 		cols:   make([][]float64, len(t.cols)),
 		dicts:  make([][]string, len(t.dicts)),
 		codeOf: make([]map[string]int, len(t.codeOf)),
-		rows:   t.rows,
 	}
 	for i := range t.cols {
-		c.cols[i] = append([]float64(nil), t.cols[i]...)
 		if t.dicts[i] != nil {
 			c.dicts[i] = append([]string(nil), t.dicts[i]...)
 		}
@@ -299,17 +308,19 @@ func (t *Table) Clone() *Table {
 }
 
 // Subset returns a new table containing only the given rows, in the given
-// order. Dictionaries are shared structurally (copied) so the subset is
-// independent.
+// order. Dictionaries are copied, so the subset is independent. Every row
+// is checked before anything is copied, and each column is copied once.
 func (t *Table) Subset(rows []int) (*Table, error) {
-	s := t.Clone()
-	for i := range s.cols {
-		col := make([]float64, 0, len(rows))
-		for _, r := range rows {
-			if r < 0 || r >= t.rows {
-				return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowRange, r, t.rows)
-			}
-			col = append(col, t.cols[i][r])
+	for _, r := range rows {
+		if r < 0 || r >= t.rows {
+			return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowRange, r, t.rows)
+		}
+	}
+	s := t.cloneFrame()
+	for i, src := range t.cols {
+		col := make([]float64, len(rows))
+		for j, r := range rows {
+			col[j] = src[r]
 		}
 		s.cols[i] = col
 	}

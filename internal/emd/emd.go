@@ -28,19 +28,24 @@
 // cluster, C is constant, so dev is a nonincreasing affine function of the
 // precomputed data set prefix QC and its absolute sum over the run has a
 // closed form around a binary-searched zero crossing. A histogram therefore
-// maintains only its sorted list of occupied bins, and one full EMD — or one
-// virtual same-size swap, the inner-loop query of Algorithm 2 — costs
-// O(occ·log m) instead of O(m), where occ ≤ min(s, m) is the number of
-// occupied bins. Exactness makes the incremental results bit-identical to
-// the batch recomputation, so caller tie-breaking is unaffected.
+// holds only its sorted list of occupied bins, each with its count, and one
+// full EMD — or one virtual same-size swap, the inner-loop query of
+// Algorithm 2 — costs O(occ·log m) instead of O(m), where occ ≤ min(s, m)
+// is the number of occupied bins. Building, cloning or merging a histogram
+// costs O(occ) (HistOf O(s·log s)), never O(m), so a whole-partition EMD
+// pass costs what its clusters hold even on a domain of tens of thousands
+// of distinct values. Exactness makes the incremental results bit-identical
+// to the batch recomputation, so caller tie-breaking is unaffected.
 //
 // Integer range: the evaluation is exact while n·s·m < 2⁶³, i.e. for data
 // sets up to roughly two million records.
 package emd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -180,12 +185,14 @@ func (s *Space) levelCross(K, sz int64) int {
 }
 
 // Hist is the mutable empirical histogram of a cluster over a Space's bins.
-// The zero value is not usable; obtain one from Space.NewHist.
+// It holds only the bins the cluster occupies, each with its record count,
+// so its memory and its construction cost track the cluster, never the
+// number of bins m. The zero value is not usable; obtain one from
+// Space.NewHist or Space.HistOf.
 type Hist struct {
-	space  *Space
-	counts []int
-	size   int
-	occ    []int // sorted bins with counts > 0
+	space *Space
+	size  int
+	occ   []binCount // occupied bins in ascending bin order, counts > 0
 	// absDev caches the integer numerator Σ|dev(b)| of the current EMD
 	// (ordered: over b ∈ [0, m−1); nominal: over all bins). It is
 	// invalidated by any mutation and rebuilt lazily, so a burst of virtual
@@ -205,63 +212,83 @@ type Hist struct {
 	crossSize int
 }
 
-// histOfAddLimit is the cluster size up to which HistOf maintains the
-// occupied-bin list per insertion; larger clusters batch-fill the counts and
-// scan the bins once, which is cheaper than O(size) inserts.
-const histOfAddLimit = 64
+// binCount is one occupied bin of a histogram and the number of the
+// cluster's records in it.
+type binCount struct {
+	bin, count int
+}
 
 // occFlatFactor decides when the run-decomposition is abandoned for a flat
 // O(m) scan: with more than m/occFlatFactor occupied bins the binary
 // searches cost more than walking every bin.
 const occFlatFactor = 4
 
-// NewHist returns an empty cluster histogram over the space.
+// NewHist returns an empty cluster histogram over the space. O(1).
 func (s *Space) NewHist() *Hist {
-	return &Hist{space: s, counts: make([]int, s.m), crossSize: -1}
+	return &Hist{space: s, crossSize: -1}
 }
 
-// HistOf returns the histogram of the given record set.
+// HistOf returns the histogram of the given record set: the records' bins
+// are sorted and counted, O(s·log s) for s records with one allocation of
+// O(s).
 func (s *Space) HistOf(records []int) *Hist {
 	h := s.NewHist()
-	if len(records) <= histOfAddLimit {
-		for _, r := range records {
-			h.Add(r)
-		}
+	if len(records) == 0 {
 		return h
 	}
-	for _, r := range records {
-		h.counts[s.binOf[r]]++
+	occ := make([]binCount, len(records))
+	for i, r := range records {
+		occ[i] = binCount{bin: s.binOf[r], count: 1}
 	}
-	h.size = len(records)
-	for b, c := range h.counts {
-		if c > 0 {
-			h.occ = append(h.occ, b)
+	slices.SortFunc(occ, func(a, b binCount) int { return cmp.Compare(a.bin, b.bin) })
+	w := 0
+	for _, e := range occ[1:] {
+		if e.bin == occ[w].bin {
+			occ[w].count++
+		} else {
+			w++
+			occ[w] = e
 		}
 	}
+	h.occ = occ[:w+1]
+	h.size = len(records)
 	return h
 }
 
 // Size returns the number of records currently in the histogram.
 func (h *Hist) Size() int { return h.size }
 
-func (h *Hist) addBin(b int) {
-	if h.counts[b] == 0 {
-		i := sort.SearchInts(h.occ, b)
-		h.occ = append(h.occ, 0)
-		copy(h.occ[i+1:], h.occ[i:])
-		h.occ[i] = b
+// find returns the position of bin b in occ and whether b is occupied; an
+// unoccupied bin's position is where it would be inserted. O(log occ).
+func (h *Hist) find(b int) (int, bool) {
+	return slices.BinarySearchFunc(h.occ, b, func(e binCount, b int) int { return cmp.Compare(e.bin, b) })
+}
+
+// count returns the number of the histogram's records in bin b.
+func (h *Hist) count(b int) int {
+	if i, ok := h.find(b); ok {
+		return h.occ[i].count
 	}
-	h.counts[b]++
+	return 0
+}
+
+func (h *Hist) addBin(b int) {
+	i, ok := h.find(b)
+	if ok {
+		h.occ[i].count++
+		return
+	}
+	h.occ = slices.Insert(h.occ, i, binCount{bin: b, count: 1})
 }
 
 func (h *Hist) removeBin(b int) {
-	if h.counts[b] == 0 {
+	i, ok := h.find(b)
+	if !ok {
 		panic(fmt.Sprintf("emd: removing record from empty bin %d", b))
 	}
-	h.counts[b]--
-	if h.counts[b] == 0 {
-		i := sort.SearchInts(h.occ, b)
-		h.occ = append(h.occ[:i], h.occ[i+1:]...)
+	h.occ[i].count--
+	if h.occ[i].count == 0 {
+		h.occ = slices.Delete(h.occ, i, i+1)
 	}
 }
 
@@ -286,7 +313,7 @@ func (h *Hist) Remove(rec int) {
 func (h *Hist) Swap(out, in int) {
 	ob, ib := h.space.binOf[out], h.space.binOf[in]
 	if ob == ib {
-		if h.counts[ob] == 0 {
+		if _, ok := h.find(ob); !ok {
 			panic(fmt.Sprintf("emd: removing record from empty bin %d", ob))
 		}
 		return
@@ -297,46 +324,43 @@ func (h *Hist) Swap(out, in int) {
 }
 
 // Merge adds every record counted in other into h. The two histograms must
-// share a Space.
+// share a Space. O(occ_h + occ_other).
 func (h *Hist) Merge(other *Hist) {
 	if h.space != other.space {
 		panic("emd: merging histograms over different spaces")
 	}
-	merged := make([]int, 0, len(h.occ)+len(other.occ))
+	merged := make([]binCount, 0, len(h.occ)+len(other.occ))
 	i, j := 0, 0
 	for i < len(h.occ) && j < len(other.occ) {
+		a, b := h.occ[i], other.occ[j]
 		switch {
-		case h.occ[i] < other.occ[j]:
-			merged = append(merged, h.occ[i])
+		case a.bin < b.bin:
+			merged = append(merged, a)
 			i++
-		case h.occ[i] > other.occ[j]:
-			merged = append(merged, other.occ[j])
+		case a.bin > b.bin:
+			merged = append(merged, b)
 			j++
 		default:
-			merged = append(merged, h.occ[i])
+			merged = append(merged, binCount{bin: a.bin, count: a.count + b.count})
 			i, j = i+1, j+1
 		}
 	}
 	merged = append(merged, h.occ[i:]...)
 	merged = append(merged, other.occ[j:]...)
 	h.occ = merged
-	for _, b := range other.occ {
-		h.counts[b] += other.counts[b]
-	}
 	h.size += other.size
 	h.absDevOK = false
 }
 
-// Clone returns an independent copy of the histogram.
+// Clone returns an independent copy of the histogram. O(occ + size).
 func (h *Hist) Clone() *Hist {
 	return &Hist{
 		space:     h.space,
-		counts:    append([]int(nil), h.counts...),
 		size:      h.size,
-		occ:       append([]int(nil), h.occ...),
+		occ:       slices.Clone(h.occ),
 		absDev:    h.absDev,
 		absDevOK:  h.absDevOK,
-		cross:     append([]int(nil), h.cross...),
+		cross:     slices.Clone(h.cross),
 		crossSize: h.crossSize,
 	}
 }
@@ -376,8 +400,9 @@ func (h *Hist) runAbsSumLvl(p, q int, K int64) int64 {
 // cluster distribution and the data set distribution. An empty histogram or
 // a single-bin space has distance 0. The result is always in [0, 1/2].
 //
-// Cost: O(occ·log m) for a histogram occupying occ bins (O(m) when occ is a
-// large fraction of m); repeated calls on an unchanged histogram are O(1).
+// Cost: O(occ·log m) for a histogram occupying occ bins (a flat O(m) walk
+// once occ exceeds m/4, where O(m) is O(occ)); repeated calls on an
+// unchanged histogram are O(1). It allocates nothing.
 func (h *Hist) EMD() float64 {
 	s := h.space
 	if s.m < 2 || h.size == 0 {
@@ -412,9 +437,9 @@ func (h *Hist) tvAbsDev() int64 {
 	s := h.space
 	n64, sz := int64(s.n), int64(h.size)
 	var total, qcOcc int64
-	for _, b := range h.occ {
-		total += abs64(n64*int64(h.counts[b]) - sz*int64(s.qCounts[b]))
-		qcOcc += int64(s.qCounts[b])
+	for _, e := range h.occ {
+		total += abs64(n64*int64(e.count) - sz*int64(s.qCounts[e.bin]))
+		qcOcc += int64(s.qCounts[e.bin])
 	}
 	return total + sz*(n64-qcOcc)
 }
@@ -427,13 +452,13 @@ func (h *Hist) absDevRuns() int64 {
 	var total int64
 	var K int64
 	p := 0
-	for _, b := range h.occ {
-		if b >= end {
+	for _, e := range h.occ {
+		if e.bin >= end {
 			break
 		}
-		total += h.runAbsSumLvl(p, b, K)
-		K += int64(h.counts[b])
-		p = b
+		total += h.runAbsSumLvl(p, e.bin, K)
+		K += int64(e.count)
+		p = e.bin
 	}
 	total += h.runAbsSumLvl(p, end, K)
 	return total
@@ -447,8 +472,12 @@ func (h *Hist) absDevFlat(outBin, inBin int, sz int64) int64 {
 	s := h.space
 	n64 := int64(s.n)
 	var C, total int64
+	i := 0
 	for b := 0; b < s.m-1; b++ {
-		C += int64(h.counts[b])
+		if i < len(h.occ) && h.occ[i].bin == b {
+			C += int64(h.occ[i].count)
+			i++
+		}
 		if b >= outBin && outBin >= 0 {
 			// prefix counts at and after outBin lose the removed record
 			C -= 1
@@ -469,7 +498,8 @@ func (h *Hist) absDevFlat(outBin, inBin int, sz int64) int64 {
 //
 // A same-size swap is evaluated incrementally against the cached deviation
 // geometry in O(occΔ·log m), where occΔ is the number of occupied bins
-// between the two records' bins — O(1) on nominal spaces.
+// between the two records' bins — two O(log occ) bin lookups on nominal
+// spaces.
 func (h *Hist) EMDSwap(out, in int) float64 {
 	s := h.space
 	ob, ib := -1, -1
@@ -515,7 +545,8 @@ func (h *Hist) EMDSwap(out, in int) float64 {
 	return float64(total) / (float64(s.n) * float64(size) * float64(s.m-1))
 }
 
-// tvSwap is the O(1) nominal (total variation) same-size swap query.
+// tvSwap is the nominal (total variation) same-size swap query: two
+// O(log occ) bin lookups.
 func (h *Hist) tvSwap(ob, ib int) float64 {
 	s := h.space
 	return float64(h.tvSwapNum(ob, ib)) / (2 * float64(s.n) * float64(h.size))
@@ -525,7 +556,7 @@ func (h *Hist) tvSwap(ob, ib int) float64 {
 func (h *Hist) tvSwapNum(ob, ib int) int64 {
 	s := h.space
 	n64, sz := int64(s.n), int64(h.size)
-	co, ci := int64(h.counts[ob]), int64(h.counts[ib])
+	co, ci := int64(h.count(ob)), int64(h.count(ib))
 	delta := abs64(n64*(co-1)-sz*int64(s.qCounts[ob])) - abs64(n64*co-sz*int64(s.qCounts[ob])) +
 		abs64(n64*(ci+1)-sz*int64(s.qCounts[ib])) - abs64(n64*ci-sz*int64(s.qCounts[ib]))
 	return h.absDev + delta
@@ -537,18 +568,18 @@ func (h *Hist) tvVirtualFlat(outBin, inBin int, sz int64) float64 {
 	n64 := int64(s.n)
 	var total, qcOcc int64
 	seenOut, seenIn := false, false
-	for _, b := range h.occ {
-		c := int64(h.counts[b])
-		if b == outBin {
+	for _, e := range h.occ {
+		c := int64(e.count)
+		if e.bin == outBin {
 			c--
 			seenOut = true
 		}
-		if b == inBin {
+		if e.bin == inBin {
 			c++
 			seenIn = true
 		}
-		total += abs64(n64*c - sz*int64(s.qCounts[b]))
-		qcOcc += int64(s.qCounts[b])
+		total += abs64(n64*c - sz*int64(s.qCounts[e.bin]))
+		qcOcc += int64(s.qCounts[e.bin])
 	}
 	if outBin >= 0 && !seenOut {
 		// virtual removal from an unoccupied bin (count goes negative);
@@ -590,16 +621,16 @@ func (h *Hist) orderedSwapNum(ob, ib int) int64 {
 	// Cluster prefix count K at bin lo (inclusive).
 	i := 0
 	var K int64
-	for ; i < len(h.occ) && h.occ[i] <= lo; i++ {
-		K += int64(h.counts[h.occ[i]])
+	for ; i < len(h.occ) && h.occ[i].bin <= lo; i++ {
+		K += int64(h.occ[i].count)
 	}
 	var base, swapped int64
 	p := lo
-	for ; i < len(h.occ) && h.occ[i] < end; i++ {
-		b := h.occ[i]
+	for ; i < len(h.occ) && h.occ[i].bin < end; i++ {
+		b := h.occ[i].bin
 		base += h.runAbsSumLvl(p, b, K)
 		swapped += h.runAbsSumLvl(p, b, K+sigma)
-		K += int64(h.counts[b])
+		K += int64(h.occ[i].count)
 		p = b
 	}
 	base += h.runAbsSumLvl(p, end, K)
@@ -719,7 +750,8 @@ func (s *Space) TwoRecordAbsDev(a, b int) int64 {
 }
 
 // EMDOf computes the EMD of an explicit record set against the data set
-// distribution; a convenience wrapper around HistOf(records).EMD().
+// distribution; a convenience wrapper around HistOf(records).EMD(), so it
+// costs O(s·log s) for s records whatever the number of bins.
 func (s *Space) EMDOf(records []int) float64 {
 	return s.HistOf(records).EMD()
 }

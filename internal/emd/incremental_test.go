@@ -3,6 +3,8 @@ package emd
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +31,7 @@ func referenceEMDSwap(h *Hist, outBin, inBin int) float64 {
 	if s.nominal {
 		var total float64
 		for b := 0; b < s.m; b++ {
-			c := h.counts[b]
+			c := h.count(b)
 			if b == outBin {
 				c--
 			}
@@ -46,7 +48,7 @@ func referenceEMDSwap(h *Hist, outBin, inBin int) float64 {
 	}
 	var cum, total float64
 	for b := 0; b < s.m-1; b++ {
-		c := h.counts[b]
+		c := h.count(b)
 		if b == outBin {
 			c--
 		}
@@ -200,22 +202,72 @@ func TestSwapEquivalentToRemoveAdd(t *testing.T) {
 	}
 }
 
-// TestHistOfPathsAgree checks the insert-based and batch-fill HistOf
-// construction paths produce identical histograms across the size cutoff.
+// TestHistOfPathsAgree checks that the sort-and-count HistOf builds the
+// same histogram as repeated Add, bin for bin, at every size from 1 to n.
 func TestHistOfPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 400
-	s := randomSpace(t, rng, n, false)
-	for _, size := range []int{1, histOfAddLimit - 1, histOfAddLimit, histOfAddLimit + 1, 200, n} {
-		rows := rng.Perm(n)[:size]
-		batch := s.HistOf(rows)
-		incr := s.NewHist()
-		for _, r := range rows {
-			incr.Add(r)
+	for _, nominal := range []bool{false, true} {
+		s := randomSpace(t, rng, n, nominal)
+		perm := rng.Perm(n)
+		for size := 1; size <= n; size++ {
+			rows := perm[:size]
+			batch := s.HistOf(rows)
+			incr := s.NewHist()
+			for _, r := range rows {
+				incr.Add(r)
+			}
+			if !slices.Equal(batch.occ, incr.occ) || batch.Size() != incr.Size() {
+				t.Fatalf("nominal=%v size %d: batch bins %v/%d vs incremental %v/%d",
+					nominal, size, batch.occ, batch.Size(), incr.occ, incr.Size())
+			}
+			if batch.EMD() != incr.EMD() || batch.AbsDev() != incr.AbsDev() {
+				t.Fatalf("nominal=%v size %d: batch %v vs incremental %v",
+					nominal, size, batch.EMD(), incr.EMD())
+			}
 		}
-		if batch.EMD() != incr.EMD() || batch.Size() != incr.Size() {
-			t.Fatalf("size %d: batch %v/%d vs incremental %v/%d",
-				size, batch.EMD(), batch.Size(), incr.EMD(), incr.Size())
+	}
+}
+
+// TestHistCostTracksOccupancy pins that a histogram's memory tracks the
+// records it holds, not the number of bins: HistOf over 5 records, and
+// NewHist plus 5 Adds, on a 100,000-bin space allocate under 4 KiB, where
+// one count per bin would take 800 KB.
+func TestHistCostTracksOccupancy(t *testing.T) {
+	const m = 100_000
+	vals := make([]float64, m)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	s, err := NewSpace(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []int{7, 99_999, 50_000, 7, 123}
+	var sink *Hist
+	builds := map[string]func() *Hist{
+		"HistOf": func() *Hist { return s.HistOf(recs) },
+		"NewHist+Add": func() *Hist {
+			h := s.NewHist()
+			for _, r := range recs {
+				h.Add(r)
+			}
+			return h
+		},
+	}
+	for name, build := range builds {
+		const reps = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			sink = build()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= 4096 {
+			t.Errorf("%s over 5 records on %d bins allocates %d B per histogram, want < 4096", name, m, per)
+		}
+		if sink.Size() != len(recs) || sink.EMD() != s.EMDOf(recs) {
+			t.Fatalf("%s built a wrong histogram", name)
 		}
 	}
 }

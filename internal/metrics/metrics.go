@@ -41,8 +41,8 @@ func NormalizedSSE(original, anonymized *dataset.Table) (float64, error) {
 	}
 	ranges := make([]float64, len(qis))
 	for j, c := range qis {
-		st := original.Stats(c)
-		ranges[j] = st.Max - st.Min
+		lo, hi := original.MinMax(c)
+		ranges[j] = hi - lo
 	}
 	total := 0.0
 	for r := 0; r < n; r++ {

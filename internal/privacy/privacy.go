@@ -7,8 +7,9 @@
 package privacy
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/emd"
@@ -19,8 +20,11 @@ import (
 var ErrNoRecords = errors.New("privacy: table has no records")
 
 // EquivalenceClasses groups the records of t by their full quasi-identifier
-// value combination and returns the groups as clusters. In an anonymized
-// table these are the equivalence classes of Definition 1.
+// value combination and returns the groups as clusters, in the order each
+// combination first occurs. In an anonymized table these are the
+// equivalence classes of Definition 1. Values compare by their IEEE bits
+// with every NaN made one value: -0 and +0 fall in different classes, and
+// NaNs of any payload in the same one.
 func EquivalenceClasses(t *dataset.Table) ([]micro.Cluster, error) {
 	if t.Len() == 0 {
 		return nil, ErrNoRecords
@@ -29,29 +33,36 @@ func EquivalenceClasses(t *dataset.Table) ([]micro.Cluster, error) {
 	if len(qis) == 0 {
 		return nil, errors.New("privacy: schema has no quasi-identifiers")
 	}
-	groups := make(map[string][]int)
-	var order []string
-	key := make([]byte, 0, 16*len(qis))
+	cols := make([][]float64, len(qis))
+	for j, c := range qis {
+		cols[j] = t.ColumnView(c)
+	}
+	classOf := make(map[string]int)
+	var out []micro.Cluster
+	key := make([]byte, 0, 8*len(qis))
 	for r := 0; r < t.Len(); r++ {
 		key = key[:0]
-		for _, c := range qis {
-			key = appendFloatKey(key, t.Value(r, c))
+		for _, col := range cols {
+			key = appendValueKey(key, col[r])
 		}
-		k := string(key)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
+		i, seen := classOf[string(key)]
+		if !seen {
+			i = len(out)
+			classOf[string(key)] = i
+			out = append(out, micro.Cluster{})
 		}
-		groups[k] = append(groups[k], r)
-	}
-	out := make([]micro.Cluster, len(order))
-	for i, k := range order {
-		out[i] = micro.Cluster{Rows: groups[k]}
+		out[i].Rows = append(out[i].Rows, r)
 	}
 	return out, nil
 }
 
-func appendFloatKey(b []byte, v float64) []byte {
-	return append(b, fmt.Sprintf("%x|", v)...)
+// appendValueKey appends the 8-byte grouping key of v: its IEEE bits, with
+// every NaN mapped to one canonical NaN.
+func appendValueKey(b []byte, v float64) []byte {
+	if math.IsNaN(v) {
+		v = math.NaN()
+	}
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // KAnonymity returns the k-anonymity level of the table: the size of its

@@ -61,13 +61,13 @@ func (prep *Prepared) Algorithm1Policy(run Run, k int, tLevel float64, part Part
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	merged, merges, err := p.mergeUntilTClosePolicy(clusters, policy)
+	merged, merges, maxEMD, err := p.mergeUntilTClosePolicy(clusters, policy)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Clusters:   merged,
-		MaxEMD:     p.maxEMD(merged),
+		MaxEMD:     maxEMD,
 		Merges:     merges,
 		EffectiveK: p.k,
 	}, nil
@@ -123,8 +123,8 @@ func Algorithm1Policy(t *dataset.Table, k int, tLevel float64, part Partitioner,
 }
 
 // mergeState caches, for each live cluster, its histogram set, EMD, and QI
-// centroid, so that each merge step costs O(#clusters + bins) instead of
-// recomputing everything. The worst-cluster search runs on a lazily
+// centroid, so that each merge step costs O(#clusters + occupied bins)
+// instead of recomputing everything. The worst-cluster search runs on a lazily
 // invalidated max-heap keyed by cached EMD: a merge pushes one fresh entry
 // for the merged cluster, and stale entries (dead partner, outdated EMD)
 // are discarded as they surface, cutting the selection to O(log #clusters)
@@ -210,14 +210,18 @@ func (st *mergeState) popWorst() (int, float64) {
 }
 
 // mergeUntilTClose runs Algorithm 1's merging loop on an initial partition
-// and returns the resulting partition and the number of merges performed.
-// Cancellation is checked once per merge, so an abandoned run stops within
-// one merge step (O(#clusters) work).
-func (p *problem) mergeUntilTClose(clusters []micro.Cluster) ([]micro.Cluster, int, error) {
+// and returns the resulting partition, the number of merges performed and
+// the partition's largest cluster EMD (read off the live histograms, so no
+// caller needs a second EMD pass). Every cold Algorithm 1/2 run, the warm
+// repair and the sharded reconciliation finish with it. The input
+// partition is copied, never mutated. Cancellation is checked once per
+// merge, so an abandoned run stops within one merge step (O(#clusters)
+// work).
+func (p *problem) mergeUntilTClose(clusters []micro.Cluster) ([]micro.Cluster, int, float64, error) {
 	return p.mergeUntilTClosePolicy(clusters, MergeNearestQI)
 }
 
-func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergePolicy) ([]micro.Cluster, int, error) {
+func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergePolicy) ([]micro.Cluster, int, float64, error) {
 	st := &mergeState{
 		rows:     make([][]int, len(clusters)),
 		hists:    make([]histSet, len(clusters)),
@@ -239,7 +243,7 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 	merges := 0
 	for st.nAlive > 1 {
 		if err := p.interrupted(); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		// Cluster farthest from the data set distribution.
 		worst, worstEMD := st.popWorst()
@@ -289,12 +293,17 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 		p.reportProgress("merge", merges, 0)
 	}
 	out := make([]micro.Cluster, 0, st.nAlive)
+	maxEMD := 0.0
 	for i := range st.rows {
-		if st.alive[i] {
-			out = append(out, micro.Cluster{Rows: st.rows[i]})
+		if !st.alive[i] {
+			continue
+		}
+		out = append(out, micro.Cluster{Rows: st.rows[i]})
+		if st.emds[i] > maxEMD {
+			maxEMD = st.emds[i]
 		}
 	}
-	return out, merges, nil
+	return out, merges, maxEMD, nil
 }
 
 // merge folds cluster b into cluster a and updates the cached centroid,

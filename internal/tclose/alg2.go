@@ -43,13 +43,13 @@ func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	merged, merges, err := p.mergeUntilTClose(clusters)
+	merged, merges, maxEMD, err := p.mergeUntilTClose(clusters)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Clusters:   merged,
-		MaxEMD:     p.maxEMD(merged),
+		MaxEMD:     maxEMD,
 		Merges:     merges,
 		Swaps:      swaps,
 		EffectiveK: p.k,

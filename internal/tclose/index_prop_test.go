@@ -157,9 +157,12 @@ func TestMergeHeapMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClusters, gotMerges, err := p.mergeUntilTClose(clusters)
+		gotClusters, gotMerges, gotMaxEMD, err := p.mergeUntilTClose(clusters)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := p.maxEMD(gotClusters); gotMaxEMD != want {
+			t.Errorf("%s: MaxEMD=%v want %v", tc.name, gotMaxEMD, want)
 		}
 		wantClusters, wantMerges := referenceMergeUntilTClose(p, clusters)
 		if gotMerges != wantMerges {

@@ -47,8 +47,10 @@ func referenceGenerateCluster(p *problem, points [][]float64, x int, avail []int
 			}
 		}
 		if bestIdx >= 0 {
-			hs.remove(cluster[bestIdx])
-			hs.add(y)
+			for _, h := range hs {
+				h.Remove(cluster[bestIdx])
+				h.Add(y)
+			}
 			cluster[bestIdx] = y
 			cur = bestEMD
 			swaps++
@@ -165,7 +167,7 @@ func TestAlgorithm2EndToEndMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			refPart, _ := referenceKAnonymityFirstPartition(p)
-			refMerged, _, err := p.mergeUntilTClose(refPart)
+			refMerged, _, _, err := p.mergeUntilTClose(refPart)
 			if err != nil {
 				t.Fatal(err)
 			}

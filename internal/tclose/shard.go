@@ -12,12 +12,12 @@ import (
 // per-algorithm cluster loop runs independently inside each shard on the
 // internal/par pool, and a reconciliation pass repairs the privacy
 // properties along shard boundaries: undersized clusters fold into their
-// QI-nearest neighbor (k-anonymity), then the scratch-histogram finishing
-// merge of the warm-repair machinery restores t-closeness exactly as it
-// does for every cold run. k and t therefore hold exactly in the output;
-// what the mode relaxes is bit-identity to the serial partition — cluster
-// shapes near shard boundaries depend on the shard count, so results vary
-// with the worker budget. Callers opt in explicitly (core.Spec.Sharded).
+// QI-nearest neighbor (k-anonymity), then Algorithm 1's merge loop
+// restores t-closeness exactly as it does for every cold run. k and t
+// therefore hold exactly in the output; what the mode relaxes is
+// bit-identity to the serial partition — cluster shapes near
+// shard boundaries depend on the shard count, so results vary with the
+// worker budget. Callers opt in explicitly (core.Spec.Sharded).
 //
 // With one shard (one worker, or a table too small to split) the drivers
 // delegate to the serial algorithms unchanged, so W=1 sharded output is
@@ -180,8 +180,8 @@ func (p *problem) shardMDAV(rows []int) ([]micro.Cluster, error) {
 // reconcileShards repairs the concatenated per-shard partitions into one
 // valid release: clusters that came out undersized (possible only from
 // degenerate shard sizes — the partition loops guarantee >= k otherwise)
-// fold into their QI-nearest neighbor, then the scratch-histogram finishing
-// merge restores t-closeness with the same policy as every cold run.
+// fold into their QI-nearest neighbor, then Algorithm 1's merge loop
+// restores t-closeness as it does for every cold run.
 // Cluster order is shard order then per-shard extraction order, so the
 // result is deterministic for a fixed shard split.
 func (p *problem) reconcileShards(perShard [][]micro.Cluster) (*Result, error) {
@@ -191,60 +191,19 @@ func (p *problem) reconcileShards(perShard [][]micro.Cluster) (*Result, error) {
 			rows = append(rows, c.Rows)
 		}
 	}
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
+	// Fold pass (the WarmRepair policy): the undersized population is at
+	// most one cluster per degenerate shard.
+	alive, folds, err := p.foldUndersized(rows, p.k, func(int, int) {})
+	if err != nil {
+		return nil, err
 	}
-	nAlive := len(rows)
-
-	// Fold pass, restarting from the lowest index after each fold (the
-	// WarmRepair policy): the undersized population is at most one cluster
-	// per degenerate shard, so the quadratic partner scan is over a handful
-	// of clusters.
-	for {
-		if err := p.interrupted(); err != nil {
-			return nil, err
-		}
-		small := -1
-		for i := range rows {
-			if alive[i] && len(rows[i]) < p.k {
-				small = i
-				break
-			}
-		}
-		if small < 0 || nAlive <= 1 {
-			break
-		}
-		sc := p.mat.CentroidRows(rows[small], nil)
-		best, bestD := -1, 0.0
-		for j := range rows {
-			if !alive[j] || j == small {
-				continue
-			}
-			if d := micro.Dist2(sc, p.mat.CentroidRows(rows[j], nil)); best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rows[best] = append(rows[best], rows[small]...)
-		alive[small] = false
-		rows[small] = nil
-		nAlive--
-	}
-
-	final := make([][]int, 0, nAlive)
+	final := make([]micro.Cluster, 0, len(rows)-folds)
 	for i := range rows {
 		if alive[i] {
-			final = append(final, rows[i])
+			final = append(final, micro.Cluster{Rows: rows[i]})
 		}
 	}
-	scratch := make(histSet, len(p.spaces))
-	for i, s := range p.spaces {
-		scratch[i] = s.NewHist()
-	}
-	merged, merges, maxEMD, err := p.warmMergeUntilTClose(final, scratch)
+	merged, merges, maxEMD, err := p.mergeUntilTClose(final)
 	if err != nil {
 		return nil, err
 	}

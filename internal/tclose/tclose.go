@@ -95,8 +95,8 @@
 // frontier the seams above cannot touch — by splitting the table into
 // disjoint k-d shards (micro.Matrix.ShardRows), running the cluster loop
 // independently per shard, and reconciling the boundaries (undersized
-// clusters fold into their QI-nearest neighbor, then the scratch-histogram
-// finishing merge restores t). The output always satisfies k and t exactly,
+// clusters fold into their QI-nearest neighbor, then Algorithm 1's merge
+// loop restores t). The output always satisfies k and t exactly,
 // and is deterministic for a fixed worker budget, but is bit-identical to
 // the serial run only when the effective shard count is one (a one-worker
 // engine, or a table below the per-shard size floor, delegates to the
@@ -363,21 +363,9 @@ func (hs histSet) emdSwap(out, in int) float64 {
 	return worst
 }
 
-func (hs histSet) add(rec int) {
-	for _, h := range hs {
-		h.Add(rec)
-	}
-}
-
-func (hs histSet) remove(rec int) {
-	for _, h := range hs {
-		h.Remove(rec)
-	}
-}
-
-// swap commits a record swap on every histogram; equivalent to
-// remove(out)+add(in) but keeps per-histogram cached geometry alive when
-// bins coincide.
+// swap commits a record swap on every histogram; equivalent to Remove(out)
+// then Add(in) but keeps per-histogram cached geometry alive when bins
+// coincide.
 func (hs histSet) swap(out, in int) {
 	for _, h := range hs {
 		h.Swap(out, in)

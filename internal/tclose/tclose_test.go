@@ -85,8 +85,10 @@ func TestHistSetSwapConsistency(t *testing.T) {
 	rows := []int{0, 5, 10, 15}
 	hs := p.newHistSet(rows)
 	pred := hs.emdSwap(5, 20)
-	hs.remove(5)
-	hs.add(20)
+	for _, h := range hs {
+		h.Remove(5)
+		h.Add(20)
+	}
 	if got := hs.emd(); got != pred {
 		t.Errorf("emdSwap = %v but post-mutation emd = %v", pred, got)
 	}

@@ -3,11 +3,9 @@ package tclose
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/micro"
-	"repro/internal/par"
 )
 
 // WarmSeed is a previous epoch's partition mapped into the current epoch's
@@ -156,53 +154,18 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		stats.Assigned = len(newRows)
 	}
 
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
-	}
-	nAlive := len(rows)
-
 	// Fold undersized clusters (deletion damage) into their QI-nearest live
-	// neighbor. The scan restarts from the lowest index after each fold —
-	// deterministic, and the undersized population is bounded by the number
-	// of clusters deletions touched, not the table.
-	for {
-		if err := p.interrupted(); err != nil {
-			return nil, nil, err
-		}
-		small := -1
-		for i := range rows {
-			if alive[i] && len(rows[i]) < effK {
-				small = i
-				break
-			}
-		}
-		if small < 0 || nAlive <= 1 {
-			break
-		}
-		sc := p.mat.CentroidRows(rows[small], nil)
-		best, bestD := -1, 0.0
-		for j := range rows {
-			if !alive[j] || j == small {
-				continue
-			}
-			if d := micro.Dist2(sc, p.mat.CentroidRows(rows[j], nil)); best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
+	// neighbor.
+	alive, folds, err := p.foldUndersized(rows, effK, func(small, into int) {
 		for _, r := range rows[small] {
 			touched[r] = true
 		}
-		rows[best] = append(rows[best], rows[small]...)
-		dirty[best] = true
-		alive[small] = false
-		rows[small] = nil
-		nAlive--
-		stats.Folded++
+		dirty[into] = true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	stats.Folded = folds
 
 	// Re-split clusters where assigned rows piled up — at least a full
 	// cluster's worth, and at least as many as the rows carried over — with
@@ -243,20 +206,9 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 				rows = append(rows, mapped)
 				dirty = append(dirty, true)
 				alive = append(alive, true)
-				nAlive++
 			}
 		}
 		stats.Split++
-	}
-
-	// One reusable scratch histogram per confidential space computes every
-	// per-cluster EMD of the repair in O(rows·log m) incremental updates —
-	// allocating a fresh O(m) histogram per cluster, as the cold merge
-	// machinery can afford to, would cost more than the entire repair on
-	// high-cardinality confidential attributes.
-	scratch := make(histSet, len(p.spaces))
-	for i, s := range p.spaces {
-		scratch[i] = s.NewHist()
 	}
 
 	// Swap-based repair (the k-anonymity-first mode): dirty clusters still
@@ -274,13 +226,12 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 			if err := p.interrupted(); err != nil {
 				return nil, nil, err
 			}
-			if scratch.emdOf(rows[i]) <= p.t {
+			if p.clusterEMD(rows[i]) <= p.t {
 				continue
 			}
 			pool = append(pool, rows[i]...)
 			alive[i] = false
 			rows[i] = nil
-			nAlive--
 			stats.Repaired++
 		}
 		if len(pool) > 0 {
@@ -296,7 +247,6 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 			for _, c := range reclusters {
 				rows = append(rows, c.Rows)
 				alive = append(alive, true)
-				nAlive++
 			}
 		}
 	}
@@ -307,20 +257,17 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		}
 	}
 
-	// The finishing merge loop restores the t-closeness guarantee over the
-	// whole partition with the same policy as every cold Algorithm 1/2 run
-	// (worst-EMD cluster merges with its QI-nearest neighbor): clean
-	// clusters whose EMD drifted over t under the shifted data set
-	// distribution are handled here too. It runs on the scratch histogram
-	// instead of per-cluster ones, so a repair with few or no violations
-	// costs one incremental pass over the rows.
-	final := make([][]int, 0, nAlive)
+	// Algorithm 1's merge loop, the one every cold Algorithm 1/2 run
+	// finishes with, restores the t-closeness guarantee over the whole
+	// partition: clean clusters whose EMD drifted over t under the shifted
+	// data set distribution are handled here too.
+	final := make([]micro.Cluster, 0, len(rows))
 	for i := range rows {
 		if alive[i] {
-			final = append(final, rows[i])
+			final = append(final, micro.Cluster{Rows: rows[i]})
 		}
 	}
-	merged, merges, maxEMD, err := p.warmMergeUntilTClose(final, scratch)
+	merged, merges, maxEMD, err := p.mergeUntilTClose(final)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,106 +280,66 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	}, stats, nil
 }
 
-// emdOf computes the maximum EMD of a record set across the scratch
-// histogram set, leaving the scratch empty again: O(rows·log m) incremental
-// updates with no per-call allocation.
-func (hs histSet) emdOf(rows []int) float64 {
-	for _, r := range rows {
-		hs.add(r)
-	}
-	d := hs.emd()
-	for _, r := range rows {
-		hs.remove(r)
-	}
-	return d
-}
-
-// warmMergeUntilTClose is Algorithm 1's merge loop re-expressed over the
-// scratch histogram: identical policy (pop the worst-EMD cluster, merge it
-// with the QI-centroid-nearest live cluster, tie-breaking on the same
-// (value, index) keys), but cluster EMDs come from incremental scratch
-// passes instead of per-cluster O(m) histograms. A warm repair with no
-// violations therefore costs one pass over the rows — the cold mergeState,
-// built for runs that merge thousands of clusters, would spend more time
-// allocating histograms than the whole repair. It additionally returns the
-// partition's final maximum EMD (a byproduct of the bookkeeping).
-func (p *problem) warmMergeUntilTClose(clusters [][]int, scratch histSet) ([]micro.Cluster, int, float64, error) {
-	n := len(clusters)
-	emds := make([]float64, n)
-	cents := make([][]float64, n)
-	alive := make([]bool, n)
-	nAlive := n
-	var worst worstHeap
-	for i, rows := range clusters {
-		emds[i] = scratch.emdOf(rows)
-		cents[i] = p.mat.CentroidRows(rows, nil)
+// foldUndersized folds every cluster smaller than minSize into the live
+// cluster whose QI centroid is nearest its own (ties toward the lower
+// index), until none is left or one cluster remains, and returns which
+// clusters are still alive and the number of folds. The scan resumes at
+// the last folded index: folds only grow clusters, so no cluster before it
+// can have become undersized, and the order matches a restart from the
+// lowest index. The undersized population is bounded by the clusters
+// deletions or degenerate shards touched, not the table. Centroids are
+// computed once, at the first fold; afterwards only the absorbing
+// cluster's is recomputed from its rows. Because Matrix.CentroidRows is a
+// pure function of the row list, every distance equals a per-fold
+// recomputation bit for bit. onFold sees each fold before the small
+// cluster's rows move.
+func (p *problem) foldUndersized(rows [][]int, minSize int, onFold func(small, into int)) ([]bool, int, error) {
+	alive := make([]bool, len(rows))
+	for i := range alive {
 		alive[i] = true
-		if emds[i] > p.t {
-			worst.push(worstEntry{emd: emds[i], idx: i})
-		}
 	}
-	merges := 0
-	for nAlive > 1 {
+	var cents [][]float64
+	folds, small := 0, 0
+	for {
 		if err := p.interrupted(); err != nil {
-			return nil, 0, 0, err
+			return nil, folds, err
 		}
-		var w int
-		for {
-			if len(worst) == 0 {
-				w = -1
-				break
-			}
-			e := worst.pop()
-			if alive[e.idx] && emds[e.idx] == e.emd {
-				w = e.idx
+		for ; small < len(rows); small++ {
+			if alive[small] && len(rows[small]) < minSize {
 				break
 			}
 		}
-		if w < 0 {
-			break
+		if small == len(rows) || len(rows)-folds <= 1 {
+			return alive, folds, nil
 		}
-		eval := func(j int) float64 {
-			if !alive[j] || j == w {
-				return math.Inf(1)
+		if cents == nil {
+			cents = make([][]float64, len(rows))
+			for i, rs := range rows {
+				if alive[i] {
+					cents[i] = p.mat.CentroidRows(rs, nil)
+				}
 			}
-			return micro.Dist2(cents[w], cents[j])
 		}
-		workers := 1
-		if p.workers >= 2 && nAlive >= mergePartnerParMin {
-			workers = p.workers
+		best, bestD := -1, 0.0
+		for j := range rows {
+			if !alive[j] || j == small {
+				continue
+			}
+			if d := micro.Dist2(cents[small], cents[j]); best < 0 || d < bestD {
+				best, bestD = j, d
+			}
 		}
-		closest := par.ArgminFloat64(len(clusters), workers, eval)
-		if closest < 0 || !alive[closest] || closest == w {
-			break
+		if best < 0 {
+			return alive, folds, nil
 		}
-		na, nb := float64(len(clusters[w])), float64(len(clusters[closest]))
-		clusters[w] = append(clusters[w], clusters[closest]...)
-		emds[w] = scratch.emdOf(clusters[w])
-		ca, cb := cents[w], cents[closest]
-		for j := range ca {
-			ca[j] = (ca[j]*na + cb[j]*nb) / (na + nb)
-		}
-		alive[closest] = false
-		clusters[closest] = nil
-		nAlive--
-		if emds[w] > p.t {
-			worst.push(worstEntry{emd: emds[w], idx: w})
-		}
-		merges++
-		p.reportProgress("merge", merges, 0)
+		onFold(small, best)
+		rows[best] = append(rows[best], rows[small]...)
+		cents[best] = p.mat.CentroidRows(rows[best], cents[best])
+		alive[small] = false
+		rows[small] = nil
+		cents[small] = nil
+		folds++
 	}
-	out := make([]micro.Cluster, 0, nAlive)
-	maxEMD := 0.0
-	for i, rows := range clusters {
-		if !alive[i] {
-			continue
-		}
-		out = append(out, micro.Cluster{Rows: rows})
-		if emds[i] > maxEMD {
-			maxEMD = emds[i]
-		}
-	}
-	return out, merges, maxEMD, nil
 }
 
 // partitionPool is kAnonymityFirstPartition confined to a row subset: the
