@@ -19,6 +19,10 @@
 // whatever true parallelism the cores provide; w1 delegates to the serial
 // algorithm and documents the mode's overhead floor.
 //
+// With -full, the size-sweep family (variant "size-sweep") times Merge and
+// TClosenessFirst at (5, .15) on 23,435, 46,870 and 93,740 rows, the
+// evidence for how the cluster loops scale with the table.
+//
 // Each measured run goes through a freshly prepared core.Engine whose
 // substrate preparation happens outside the timed region: a cell times the
 // algorithm itself, with cold partition caches, so the trajectory stays
@@ -51,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -61,8 +66,8 @@ import (
 // canonical name via core.Algorithm's encoding.TextMarshaler. Variant is
 // empty for the classic from-scratch grid; the delta-append family labels
 // its cells "delta-cold" and "delta-warm", the sharded family
-// "sharded-w<workers>" (reports written before a family existed simply
-// have no cells with its variants).
+// "sharded-w<workers>", the size sweep "size-sweep" (reports written
+// before a family existed simply have no cells with its variants).
 type Cell struct {
 	Algorithm core.Algorithm `json:"algorithm"`
 	K         int            `json:"k"`
@@ -117,21 +122,11 @@ func main() {
 		tbl := synth.PatientDischarge(size, synth.DefaultSeed)
 		for _, alg := range algs {
 			for _, tl := range ts {
-				best := time.Duration(0)
-				for r := 0; r < *reps; r++ {
-					eng, err := core.NewEngine(tbl)
-					if err != nil {
-						log.Fatalf("n=%d: %v", size, err)
-					}
-					start := time.Now()
-					if _, err := eng.Run(ctx, core.Spec{
-						Algorithm: alg, K: 2, T: tl, SkipAssessment: true,
-					}); err != nil {
-						log.Fatalf("%v n=%d t=%v: %v", alg, size, tl, err)
-					}
-					if d := time.Since(start); best == 0 || d < best {
-						best = d
-					}
+				best, err := bestRun(ctx, tbl, core.Spec{
+					Algorithm: alg, K: 2, T: tl, SkipAssessment: true,
+				}, *reps)
+				if err != nil {
+					log.Fatalf("%v n=%d t=%v: %v", alg, size, tl, err)
 				}
 				rep.Cells = append(rep.Cells, Cell{
 					Algorithm: alg,
@@ -222,19 +217,9 @@ func main() {
 		for _, w := range []int{1, 2, 4, 8} {
 			spec := core.Spec{Algorithm: core.KAnonymityFirst, K: 2, T: shardedT,
 				SkipAssessment: true, Sharded: true}
-			best := time.Duration(0)
-			for r := 0; r < *reps; r++ {
-				eng, err := core.NewEngine(tbl, core.WithWorkers(w))
-				if err != nil {
-					log.Fatalf("n=%d: %v", size, err)
-				}
-				start := time.Now()
-				if _, err := eng.Run(ctx, spec); err != nil {
-					log.Fatalf("%v n=%d sharded w=%d: %v", spec.Algorithm, size, w, err)
-				}
-				if d := time.Since(start); best == 0 || d < best {
-					best = d
-				}
+			best, err := bestRun(ctx, tbl, spec, *reps, core.WithWorkers(w))
+			if err != nil {
+				log.Fatalf("%v n=%d sharded w=%d: %v", spec.Algorithm, size, w, err)
 			}
 			variant := fmt.Sprintf("sharded-w%d", w)
 			rep.Cells = append(rep.Cells, Cell{
@@ -248,6 +233,36 @@ func main() {
 			})
 			fmt.Fprintf(os.Stderr, "%v n=%d t=%.2f %s: %v\n",
 				spec.Algorithm, size, shardedT, variant, best.Round(time.Microsecond))
+		}
+	}
+	// Size-sweep family (-full only, variant "size-sweep"): cold Merge and
+	// TClosenessFirst at (5, .15) on one, two and four times the full
+	// Patient Discharge size, recording how the cluster loops scale with n.
+	// The exponent between two sizes is log(t2/t1)/log(n2/n1); no gate
+	// reads these cells.
+	if *full {
+		const sweepK, sweepT = 5, 0.15
+		for _, mult := range []int{1, 2, 4} {
+			size := mult * synth.PatientDischargeSize
+			tbl := synth.PatientDischarge(size, synth.DefaultSeed)
+			for _, alg := range []core.Algorithm{core.Merge, core.TClosenessFirst} {
+				spec := core.Spec{Algorithm: alg, K: sweepK, T: sweepT, SkipAssessment: true}
+				best, err := bestRun(ctx, tbl, spec, *reps)
+				if err != nil {
+					log.Fatalf("%v n=%d size-sweep: %v", alg, size, err)
+				}
+				rep.Cells = append(rep.Cells, Cell{
+					Algorithm: alg,
+					K:         sweepK,
+					T:         sweepT,
+					N:         size,
+					Variant:   "size-sweep",
+					NsOp:      best.Nanoseconds(),
+					Seconds:   best.Seconds(),
+				})
+				fmt.Fprintf(os.Stderr, "%v n=%d k=%d t=%.2f size-sweep: %v\n",
+					alg, size, sweepK, sweepT, best.Round(time.Microsecond))
+			}
 		}
 	}
 	// Store family (-full only): the storage layer's two headline costs on a
@@ -282,6 +297,27 @@ func main() {
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// bestRun runs spec reps times, each on a fresh engine over tbl (cold
+// partition caches, substrate preparation outside the timed region), and
+// returns the fastest wall time.
+func bestRun(ctx context.Context, tbl *dataset.Table, spec core.Spec, reps int, opts ...core.Option) (time.Duration, error) {
+	best := time.Duration(0)
+	for r := 0; r < reps; r++ {
+		eng, err := core.NewEngine(tbl, opts...)
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		if _, err := eng.Run(ctx, spec); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // measureStore times the ingest-1M, reopen-1M and open-stream-1M cells.

@@ -23,15 +23,18 @@
 //
 //   - The tree (KDTree) is bucketed (kdLeafSize-record leaves scanned over
 //     a tree-ordered contiguous coordinate copy), built once per partition
-//     run in O(n·log²n) — in parallel under the MaxScanWorkers budget for
-//     large inputs — and supports O(log n) deletion via per-subtree alive
-//     counts, matching the partition loops that retire k records per round.
-//   - Queries prune subtrees with exact branch-and-bound bounds: the
-//     bounding-box distance (exact in floating point by per-dimension term
-//     domination and rounding monotonicity) combined with a
-//     triangle-inequality annulus bound around a per-tree pivot
-//     (conservatively rounded by kdEps), which retains pruning power in
-//     higher dimensions where boxes alone degrade.
+//     run in O(n·log n) by median selection — in parallel under the
+//     MaxScanWorkers budget for large inputs — and supports O(log n)
+//     deletion via per-subtree alive counts, matching the partition loops
+//     that retire k records per round.
+//   - Nearest, KNearest and the stream prune subtrees with exact
+//     branch-and-bound bounds: the bounding-box distance (exact in floating
+//     point by per-dimension term domination and rounding monotonicity)
+//     combined with a triangle-inequality annulus bound around a per-tree
+//     pivot (conservatively rounded by kdEps), which retains pruning power
+//     in higher dimensions where boxes alone degrade. Farthest scans the
+//     rows in descending pivot distance and stops on the same kind of
+//     triangle-inequality bound, so it prunes at every dimensionality.
 //   - NewSearcher builds the tree only for candidate sets of at least
 //     IndexCrossover rows; below that the linear Matrix scans win and are
 //     used directly. IndexCrossover is a package variable so benchmarks can

@@ -3,14 +3,13 @@ package micro
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
 // This file implements the spatial-index neighbor substrate: a bucketed k-d
 // tree over a fixed candidate row set of a Matrix, supporting deletion and
-// exact branch-and-bound Nearest / Farthest / KNearest queries plus an
-// incremental nearest-first candidate stream.
+// exact Nearest / Farthest / KNearest queries plus an incremental
+// nearest-first candidate stream.
 //
 // Determinism contract: every query breaks ties in exact (distance, rank)
 // order, where rank is the position of the row in the slice the tree was
@@ -18,12 +17,16 @@ import (
 // reorder them), the rank order of the surviving rows always coincides with
 // their relative order in the caller's shrinking candidate slice, so every
 // query returns bit-identically the same row the linear scan over that slice
-// would have returned. The bounding-box bounds themselves are exact in
-// floating point: each per-dimension gap term of minDist2 (maxDist2) is a
-// lower (upper) bound of the corresponding term of RowDist2, the terms are
-// accumulated in the same dimension order, and float64 addition and squaring
-// are monotone under rounding — so a pruned subtree provably cannot contain
-// a better row, and pruning never changes the result, only the work.
+// would have returned. Nearest, KNearest and the stream prune subtrees by
+// a lower bound: the bounding-box distance, exact in floating point (each
+// per-dimension gap term of minDist2 is a lower bound of the corresponding
+// term of RowDist2, the terms are accumulated in the same dimension order,
+// and float64 addition and squaring are monotone under rounding), or the
+// pivot annulus bound, rounded outward by kdEps. Farthest scans the rows in
+// descending distance from the pivot and stops at the triangle-inequality
+// upper bound (LAESA, Micó, Oncina & Vidal 1994), rounded outward the same
+// way. So a pruned row provably cannot beat or tie the incumbent, and
+// pruning never changes a result, only the work.
 
 // kdLeafSize is the bucket size at which recursion stops. Leaves are scanned
 // linearly over a tree-ordered contiguous copy of the coordinates, so small
@@ -71,7 +74,18 @@ type KDTree struct {
 	posOf  []int32 // row -> position; -1 when the row is not in the tree
 
 	pivot []float64 // centroid of the build points, anchor of the radial bounds
-	rad2  []float64 // squared pivot distance per position
+
+	// far lists positions in descending pivot distance, the scan order of
+	// Farthest, beside each one's pivot distance (square root rounded
+	// outward by kdEps) and a copy of its coordinates in the same order,
+	// so the scan reads memory sequentially instead of hopping across the
+	// tree layout. The build's lists are immutable and shared by clones;
+	// farHead skips their dead prefix, and a tree whose lists are mostly
+	// dead replaces them with compacted private copies.
+	far     []int32
+	farRad  []float64
+	farPts  []float64
+	farHead int
 
 	nAlive int
 }
@@ -103,13 +117,6 @@ func (nd *kdNode) radialMin2(q *kdQuery) float64 {
 	return g * g * (1 - kdEps)
 }
 
-// radialMax2 returns a safe upper bound on the squared distance from the
-// query to any point of node nd.
-func (nd *kdNode) radialMax2(q *kdQuery) float64 {
-	u := q.dcpHi + nd.radHi
-	return u * u * (1 + kdEps)
-}
-
 // kdNodeCount returns the number of tree nodes a segment of s items
 // produces, memoizing by size. The build recursion visits exactly the sizes
 // this recursion visits, so a fully populated memo can be read concurrently
@@ -130,82 +137,130 @@ func kdNodeCount(s int, memo map[int]int32) int32 {
 // NewKDTree builds a k-d tree over the given rows of m. The order of rows
 // fixes the tie-breaking rank of every query (see the determinism contract
 // above). Splits are at the median position of the widest bounding-box
-// dimension, so the tree is balanced regardless of the data; duplicated
-// points cost pruning power, never correctness. Subtrees of at least
-// kdParallelMin items are built concurrently under the MaxScanWorkers
-// budget; every goroutine writes disjoint preallocated ranges, so the built
-// tree is identical to a serial build.
+// dimension in (coordinate, rank) order, so the tree is balanced regardless
+// of the data; duplicated points cost pruning power, never correctness.
+// Each split is a selection, not a sort: it moves the lower half of the
+// segment to the left without ordering either half, which fixes every
+// node's membership, box and radii exactly as a full sort would and leaves
+// only the order inside a leaf open — and every query breaks ties by rank,
+// not by leaf order. The selection permutes int32 build ranks over a
+// build-order copy of the coordinates, gathered into tree order once at the
+// end. Subtrees of at least kdParallelMin items are built concurrently
+// under the MaxScanWorkers budget; every goroutine writes disjoint
+// preallocated ranges, so the built tree is identical to a serial build.
 func NewKDTree(m *Matrix, rows []int) *KDTree {
 	n := len(rows)
 	if n == 0 || m.dim == 0 {
 		return nil
 	}
+	dim := m.dim
 	memo := make(map[int]int32)
 	total := int(kdNodeCount(n, memo))
 	t := &KDTree{
 		m:      m,
-		dim:    m.dim,
+		dim:    dim,
 		nodes:  make([]kdNode, total),
-		boxes:  make([]float64, total*2*m.dim),
+		boxes:  make([]float64, total*2*dim),
 		items:  make([]int32, n),
 		rank:   make([]int32, n),
-		pts:    make([]float64, n*m.dim),
+		pts:    make([]float64, n*dim),
 		alive:  make([]bool, n),
 		leafOf: make([]int32, n),
 		posOf:  make([]int32, m.n),
+		pivot:  make([]float64, dim),
 		nAlive: n,
 	}
-	for i := range t.posOf {
-		t.posOf[i] = -1
+	// Build-order scratch: coordinates and pivot distances indexed by rank,
+	// and the rank permutation the splits reorder.
+	b := kdBuild{
+		t:    t,
+		pts:  make([]float64, n*dim),
+		rad2: make([]float64, n),
+		perm: make([]int32, n),
+		memo: memo,
 	}
 	for i, r := range rows {
-		t.items[i] = int32(r)
-		t.rank[i] = int32(i)
-		copy(t.pts[i*t.dim:(i+1)*t.dim], m.Row(r))
-		t.alive[i] = true
+		copy(b.pts[i*dim:(i+1)*dim], m.Row(r))
+		b.perm[i] = int32(i)
 	}
-	t.pivot = make([]float64, t.dim)
 	for i := 0; i < n; i++ {
-		for j, v := range t.pts[i*t.dim : (i+1)*t.dim] {
+		for j, v := range b.pts[i*dim : (i+1)*dim] {
 			t.pivot[j] += v
 		}
 	}
 	for j := range t.pivot {
 		t.pivot[j] /= float64(n)
 	}
-	t.rad2 = make([]float64, n)
 	for i := 0; i < n; i++ {
-		t.rad2[i] = Dist2(t.pivot, t.pts[i*t.dim:(i+1)*t.dim])
+		b.rad2[i] = Dist2(t.pivot, b.pts[i*dim:(i+1)*dim])
 	}
-	workers := m.workerBudget()
-	var tokens chan struct{}
-	if workers > 1 && n >= kdParallelMin {
-		tokens = make(chan struct{}, workers-1)
+	if workers := m.workerBudget(); workers > 1 && n >= kdParallelMin {
+		b.tokens = make(chan struct{}, workers-1)
 	}
-	var wg sync.WaitGroup
-	t.build(0, -1, 0, int32(n), memo, tokens, &wg)
-	wg.Wait()
-	for i, r := range t.items {
-		t.posOf[r] = int32(i)
+	b.node(0, -1, 0, int32(n))
+	b.wg.Wait()
+	for i := range t.posOf {
+		t.posOf[i] = -1
+	}
+	for pos, rk := range b.perm {
+		t.items[pos] = int32(rows[rk])
+		t.rank[pos] = rk
+		copy(t.pts[pos*dim:(pos+1)*dim], b.pts[int(rk)*dim:int(rk+1)*dim])
+		t.alive[pos] = true
+		t.posOf[rows[rk]] = int32(pos)
+	}
+	// The Farthest order: ascending (pivot distance, rank) by the stream's
+	// radix sort, read backwards.
+	byRad := make([]drainEntry, n)
+	for rk, r2 := range b.rad2 {
+		byRad[rk] = drainEntry{d: r2, tie: int32(rk), row: int32(rk)}
+	}
+	var tmp []drainEntry
+	var counts []int32
+	byRad = radixSortDrain(byRad, &tmp, &counts, false)
+	t.far = make([]int32, n)
+	t.farRad = make([]float64, n)
+	t.farPts = make([]float64, n*dim)
+	for i, e := range byRad {
+		j, rk := n-1-i, int(e.row)
+		t.far[j] = t.posOf[rows[rk]]
+		t.farRad[j] = math.Sqrt(e.d) * (1 + kdEps)
+		copy(t.farPts[j*dim:(j+1)*dim], b.pts[rk*dim:(rk+1)*dim])
 	}
 	return t
 }
 
-// build fills node idx covering positions [start, end). Child node indices
+// kdBuild is the state of one NewKDTree call: build-order scratch shared
+// read-only by the concurrent subtree builds, the permutation they reorder
+// in disjoint ranges, and the goroutine budget.
+type kdBuild struct {
+	t      *KDTree
+	pts    []float64 // build-order coordinates, indexed by rank
+	rad2   []float64 // build-order squared pivot distances
+	perm   []int32   // tree position -> rank
+	memo   map[int]int32
+	tokens chan struct{}
+	wg     sync.WaitGroup
+}
+
+// node fills node idx covering positions [start, end). Child node indices
 // are a pure function of the segment sizes (preorder layout), so concurrent
 // subtree builds write disjoint node ranges without coordination.
-func (t *KDTree) build(idx, parent, start, end int32, memo map[int]int32, tokens chan struct{}, wg *sync.WaitGroup) {
+func (b *kdBuild) node(idx, parent, start, end int32) {
+	t := b.t
+	dim := t.dim
 	nd := &t.nodes[idx]
 	nd.start, nd.end, nd.parent = start, end, parent
 	nd.count = end - start
-	box := t.boxes[int(idx)*2*t.dim : (int(idx)+1)*2*t.dim]
-	lo, hi := box[:t.dim], box[t.dim:]
-	first := t.pts[int(start)*t.dim : int(start+1)*t.dim]
+	box := t.boxes[int(idx)*2*dim : (int(idx)+1)*2*dim]
+	lo, hi := box[:dim], box[dim:]
+	seg := b.perm[start:end]
+	first := b.pts[int(seg[0])*dim : int(seg[0]+1)*dim]
 	copy(lo, first)
 	copy(hi, first)
-	r2lo, r2hi := t.rad2[start], t.rad2[start]
-	for i := start + 1; i < end; i++ {
-		p := t.pts[int(i)*t.dim : int(i+1)*t.dim]
+	r2lo, r2hi := b.rad2[seg[0]], b.rad2[seg[0]]
+	for _, rk := range seg[1:] {
+		p := b.pts[int(rk)*dim : int(rk+1)*dim]
 		for j, v := range p {
 			if v < lo[j] {
 				lo[j] = v
@@ -214,7 +269,7 @@ func (t *KDTree) build(idx, parent, start, end int32, memo map[int]int32, tokens
 				hi[j] = v
 			}
 		}
-		if r2 := t.rad2[i]; r2 < r2lo {
+		if r2 := b.rad2[rk]; r2 < r2lo {
 			r2lo = r2
 		} else if r2 > r2hi {
 			r2hi = r2
@@ -232,84 +287,94 @@ func (t *KDTree) build(idx, parent, start, end int32, memo map[int]int32, tokens
 	}
 	ax := 0
 	width := hi[0] - lo[0]
-	for j := 1; j < t.dim; j++ {
+	for j := 1; j < dim; j++ {
 		if w := hi[j] - lo[j]; w > width {
 			ax, width = j, w
 		}
 	}
-	t.sortSegment(start, end, ax)
 	sizeL := (size + 1) / 2
+	b.split(seg, ax, int(sizeL))
 	mid := start + sizeL
 	nd.left = idx + 1
-	nd.right = idx + 1 + kdNodeCount(int(sizeL), memo)
+	nd.right = idx + 1 + kdNodeCount(int(sizeL), b.memo)
 	left, right := nd.left, nd.right
-	if tokens != nil && size >= kdParallelMin {
+	if b.tokens != nil && size >= kdParallelMin {
 		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
+		case b.tokens <- struct{}{}:
+			b.wg.Add(1)
 			go func() {
-				defer wg.Done()
-				t.build(left, idx, start, mid, memo, tokens, wg)
-				<-tokens
+				defer b.wg.Done()
+				b.node(left, idx, start, mid)
+				<-b.tokens
 			}()
-			t.build(right, idx, mid, end, memo, tokens, wg)
+			b.node(right, idx, mid, end)
 			return
 		default:
 		}
 	}
-	t.build(left, idx, start, mid, memo, tokens, wg)
-	t.build(right, idx, mid, end, memo, tokens, wg)
+	b.node(left, idx, start, mid)
+	b.node(right, idx, mid, end)
 }
 
-// sortSegment orders positions [start, end) by (coordinate on axis ax,
-// rank): the secondary rank key makes the tree layout — though not any query
-// result — independent of sort stability.
-func (t *KDTree) sortSegment(start, end int32, ax int) {
-	sort.Sort(kdSegment{t: t, off: int(start), n: int(end - start), ax: ax})
-}
-
-type kdSegment struct {
-	t   *KDTree
-	off int
-	n   int
-	ax  int
-}
-
-func (s kdSegment) Len() int { return s.n }
-
-func (s kdSegment) key(i int) (float64, int32) {
-	p := s.off + i
-	return s.t.pts[p*s.t.dim+s.ax], s.t.rank[p]
-}
-
-func (s kdSegment) Less(i, j int) bool {
-	ci, ri := s.key(i)
-	cj, rj := s.key(j)
-	if ci != cj {
-		return ci < cj
+// split reorders seg so that seg[:k] holds its k smallest ranks in
+// (coordinate on axis ax, rank) order — the set a full sort would put
+// there — by quickselect with median-of-three pivots. The key order is
+// total (ranks are distinct), so the resulting set does not depend on
+// pivot choices.
+func (b *kdBuild) split(seg []int32, ax, k int) {
+	dim := b.t.dim
+	less := func(x, y int32) bool {
+		cx, cy := b.pts[int(x)*dim+ax], b.pts[int(y)*dim+ax]
+		if cx != cy {
+			return cx < cy
+		}
+		return x < y
 	}
-	return ri < rj
-}
-
-func (s kdSegment) Swap(i, j int) {
-	t := s.t
-	a, b := s.off+i, s.off+j
-	t.items[a], t.items[b] = t.items[b], t.items[a]
-	t.rank[a], t.rank[b] = t.rank[b], t.rank[a]
-	t.rad2[a], t.rad2[b] = t.rad2[b], t.rad2[a]
-	pa := t.pts[a*t.dim : (a+1)*t.dim]
-	pb := t.pts[b*t.dim : (b+1)*t.dim]
-	for k := range pa {
-		pa[k], pb[k] = pb[k], pa[k]
+	lo, hi := 0, len(seg)
+	for hi-lo > 1 && k > lo && k < hi {
+		x, y, z := seg[lo], seg[lo+(hi-lo)/2], seg[hi-1]
+		if less(y, x) {
+			x, y = y, x
+		}
+		if less(z, y) {
+			y = z
+			if less(y, x) {
+				y = x
+			}
+		}
+		pivot := y
+		i, j := lo, hi-1
+		for i <= j {
+			for less(seg[i], pivot) {
+				i++
+			}
+			for less(pivot, seg[j]) {
+				j--
+			}
+			if i <= j {
+				seg[i], seg[j] = seg[j], seg[i]
+				i++
+				j--
+			}
+		}
+		// seg[lo:i] <= pivot <= seg[j+1:hi]; continue on the side holding
+		// the boundary, or stop when it falls on the pivot itself.
+		if k <= j {
+			hi = j + 1
+		} else if k >= i {
+			lo = i
+		} else {
+			break
+		}
 	}
 }
 
 // Clone returns an independent copy of the tree: deletions on the clone do
 // not affect the original (or other clones). Only the mutable liveness
-// state — per-node alive counts and the alive bits — is copied; the
-// geometry, layout, bounds and rank arrays are immutable after the build
-// and shared, so a clone costs O(n) memory copies against the
-// O(n·log n) sort-dominated build.
+// state — per-node alive counts, the alive bits and the Farthest cursor —
+// is copied; the geometry, layout, bounds, rank arrays and Farthest order
+// are immutable after the build and shared, so a clone costs O(n) memory
+// copies against the O(n·log n) build.
 func (t *KDTree) Clone() *KDTree {
 	c := *t
 	c.nodes = append([]kdNode(nil), t.nodes...)
@@ -384,39 +449,6 @@ func (t *KDTree) lowerBound2(ni int32, q *kdQuery) float64 {
 	return lb
 }
 
-// upperBound2 returns the tighter of the box and annulus upper bounds on
-// the squared distance from the query to any point of node ni.
-func (t *KDTree) upperBound2(ni int32, q *kdQuery) float64 {
-	ub := t.maxDist2(ni, q.p)
-	if r := t.nodes[ni].radialMax2(q); r < ub {
-		ub = r
-	}
-	return ub
-}
-
-// maxDist2 returns an exact float64 upper bound on the squared distance from
-// p to any point in node ni's bounding box.
-func (t *KDTree) maxDist2(ni int32, p []float64) float64 {
-	box := t.boxes[int(ni)*2*t.dim : (int(ni)+1)*2*t.dim]
-	lo, hi := box[:t.dim], box[t.dim:]
-	var s float64
-	for j, v := range p {
-		a := v - lo[j]
-		if a < 0 {
-			a = -a
-		}
-		b := hi[j] - v
-		if b < 0 {
-			b = -b
-		}
-		if b > a {
-			a = b
-		}
-		s += a * a
-	}
-	return s
-}
-
 // kdBest carries the incumbent of a single-result query.
 type kdBest struct {
 	d     float64
@@ -470,45 +502,69 @@ func (t *KDTree) nearest(ni int32, q *kdQuery, b *kdBest) {
 }
 
 // Farthest returns the alive row farthest from p, breaking distance ties
-// toward the smallest rank, or -1 when the tree is empty.
+// toward the smallest rank, or -1 when the tree is empty. It scans the rows
+// in descending distance from the pivot c: no row x after the current one
+// can be farther from p than (|p−c| + |x−c|)², rounded outward by kdEps,
+// and that bound only falls along the scan, so the scan stops as soon as it
+// is strictly below the incumbent distance. On equality it keeps going, so
+// an equally far row of lower rank still wins. Unlike box bounds, which
+// barely prune a farthest query above three dimensions, the stop does not
+// depend on the dimensionality: a partition loop's query sits near the
+// pivot or at a row on the rim, and the scan ends within a thin outer
+// shell of the candidates.
 func (t *KDTree) Farthest(p []float64) int {
 	if t.nAlive == 0 {
 		return -1
 	}
+	if len(t.far)-t.farHead > 2*t.nAlive {
+		t.compactFar()
+	}
+	for !t.alive[t.far[t.farHead]] {
+		t.farHead++
+	}
 	q := t.newQuery(p)
 	var b kdBest
-	t.farthest(0, &q, &b)
+	dim := t.dim
+	for i := t.farHead; i < len(t.far); i++ {
+		pos := t.far[i]
+		if !t.alive[pos] {
+			continue
+		}
+		if b.found {
+			u := q.dcpHi + t.farRad[i]
+			if u*u*(1+kdEps) < b.d {
+				break
+			}
+		}
+		// The same float64 operations as dist2At, over the same values.
+		var d float64
+		for j, v := range t.farPts[i*dim : (i+1)*dim] {
+			g := v - p[j]
+			d += g * g
+		}
+		if !b.found || d > b.d || (d == b.d && t.rank[pos] < b.rank) {
+			b.found, b.d, b.rank, b.row = true, d, t.rank[pos], t.items[pos]
+		}
+	}
 	return int(b.row)
 }
 
-func (t *KDTree) farthest(ni int32, q *kdQuery, b *kdBest) {
-	nd := &t.nodes[ni]
-	if nd.count == 0 {
-		return
-	}
-	if nd.left < 0 {
-		for i := nd.start; i < nd.end; i++ {
-			if !t.alive[i] {
-				continue
-			}
-			d := t.dist2At(i, q.p)
-			if !b.found || d > b.d || (d == b.d && t.rank[i] < b.rank) {
-				b.found, b.d, b.rank, b.row = true, d, t.rank[i], t.items[i]
-			}
+// compactFar replaces the Farthest lists by private copies holding only
+// the alive positions, in the same order; the shared lists are never
+// written.
+func (t *KDTree) compactFar() {
+	dim := t.dim
+	far := make([]int32, 0, t.nAlive)
+	rad := make([]float64, 0, t.nAlive)
+	pts := make([]float64, 0, t.nAlive*dim)
+	for i := t.farHead; i < len(t.far); i++ {
+		if pos := t.far[i]; t.alive[pos] {
+			far = append(far, pos)
+			rad = append(rad, t.farRad[i])
+			pts = append(pts, t.farPts[i*dim:(i+1)*dim]...)
 		}
-		return
 	}
-	c1, c2 := nd.left, nd.right
-	d1, d2 := t.upperBound2(c1, q), t.upperBound2(c2, q)
-	if d2 > d1 {
-		c1, c2, d1, d2 = c2, c1, d2, d1
-	}
-	if !b.found || d1 >= b.d {
-		t.farthest(c1, q, b)
-	}
-	if !b.found || d2 >= b.d {
-		t.farthest(c2, q, b)
-	}
+	t.far, t.farRad, t.farPts, t.farHead = far, rad, pts, 0
 }
 
 // kdKEntry is one member of the bounded k-nearest heap.

@@ -90,18 +90,61 @@ func kdTrialPoints(rng *rand.Rand, trial int) ([][]float64, int) {
 	return pts, n
 }
 
+// patientShapedPoints mimics the normalized Patient Discharge QI cube:
+// seven dimensions, two of them binary and two on an 8-level grid beside
+// continuous ones, so distance ties and coinciding points are common.
+func patientShapedPoints(rng *rand.Rand) ([][]float64, int) {
+	n := 50 + rng.Intn(400)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{
+			rng.Float64(),
+			float64(rng.Intn(2)),
+			float64(rng.Intn(8)) / 7,
+			rng.Float64(),
+			float64(rng.Intn(8)) / 7,
+			float64(rng.Intn(2)),
+			rng.Float64(),
+		}
+	}
+	return pts, n
+}
+
+// firstAliveFar returns the alive row at the head of the tree's Farthest
+// order: the alive row farthest from the pivot.
+func firstAliveFar(tree *KDTree) int {
+	for _, pos := range tree.far[tree.farHead:] {
+		if tree.alive[pos] {
+			return int(tree.items[pos])
+		}
+	}
+	return -1
+}
+
 // TestKDTreeMatchesLinearReference pins every KDTree query — including
 // after interleaved deletions — to the linear-scan oracle, on random and
-// adversarially duplicated point sets, with both ascending and permuted
-// build orders (permuted orders exercise the rank-based tie-breaking that
-// the confidential-ranking subsets of Algorithm 3 and SABRE rely on).
+// adversarially duplicated point sets at dimensions 1-7 and on
+// patient-shaped 7-D sets, with both ascending and permuted build orders
+// (permuted orders exercise the rank-based tie-breaking that the
+// confidential-ranking subsets of Algorithm 3 and SABRE rely on). Queries
+// sit on a candidate row, inside the cloud, far outside it, and exactly at
+// the tree's pivot. Every other trial retires rows farthest-from-pivot
+// first, as MDAV does, which leaves a dead prefix in the Farthest order and
+// drives it to compaction; the test checks that both happened.
 func TestKDTreeMatchesLinearReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kd-tree vs linear reference: slow property test")
 	}
 	rng := rand.New(rand.NewSource(20160314))
-	for trial := 0; trial < 120; trial++ {
-		pts, n := kdTrialPoints(rng, trial)
+	deadPrefix, compactions := 0, 0
+	for trial := 0; trial < 160; trial++ {
+		var pts [][]float64
+		var n int
+		if trial < 120 {
+			pts, n = kdTrialPoints(rng, trial)
+		} else {
+			pts, n = patientShapedPoints(rng)
+		}
 		rows := rng.Perm(n)[:1+rng.Intn(n)]
 		if trial%2 == 0 {
 			sort.Ints(rows)
@@ -110,31 +153,47 @@ func TestKDTreeMatchesLinearReference(t *testing.T) {
 		tree := NewKDTree(m, rows)
 		ref := &kdRef{pts: pts, rows: append([]int(nil), rows...)}
 		for round := 0; tree.Len() > 0; round++ {
-			for q := 0; q < 3; q++ {
-				var p []float64
-				if q == 0 && len(ref.rows) > 0 {
-					p = pts[ref.rows[rng.Intn(len(ref.rows))]]
-				} else {
-					p = make([]float64, m.Dim())
+			for q := 0; q < 5; q++ {
+				p := make([]float64, m.Dim())
+				switch {
+				case q == 0:
+					copy(p, pts[ref.rows[rng.Intn(len(ref.rows))]])
+				case q == 3:
+					for j := range p {
+						p[j] = (rng.Float64() - 0.5) * 200
+					}
+				case q == 4:
+					copy(p, tree.pivot)
+				default:
 					for j := range p {
 						p[j] = rng.Float64() * 3
 					}
 				}
 				if got, want := tree.Nearest(p), ref.nearest(p); got != want {
-					t.Fatalf("trial %d round %d: Nearest=%d want %d", trial, round, got, want)
+					t.Fatalf("trial %d round %d q %d: Nearest=%d want %d", trial, round, q, got, want)
 				}
+				farLen := len(tree.far)
 				if got, want := tree.Farthest(p), ref.farthest(p); got != want {
-					t.Fatalf("trial %d round %d: Farthest=%d want %d", trial, round, got, want)
+					t.Fatalf("trial %d round %d q %d: Farthest=%d want %d", trial, round, q, got, want)
+				}
+				if len(tree.far) < farLen {
+					compactions++
 				}
 				k := 1 + rng.Intn(tree.Len()+2)
 				if got, want := tree.KNearest(p, k), ref.kNearest(p, k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d round %d k=%d: KNearest=%v want %v", trial, round, k, got, want)
+					t.Fatalf("trial %d round %d q %d k=%d: KNearest=%v want %v", trial, round, q, k, got, want)
 				}
 			}
-			// Delete a random batch and re-verify on the shrunken set.
+			if tree.farHead > 0 {
+				deadPrefix++
+			}
+			// Delete a batch and re-verify on the shrunken set.
 			del := 1 + rng.Intn(3)
 			for i := 0; i < del && len(ref.rows) > 0; i++ {
 				x := ref.rows[rng.Intn(len(ref.rows))]
+				if trial%2 == 1 {
+					x = firstAliveFar(tree)
+				}
 				tree.Delete(x)
 				ref.delete(x)
 			}
@@ -142,6 +201,9 @@ func TestKDTreeMatchesLinearReference(t *testing.T) {
 				t.Fatalf("trial %d: Len=%d want %d", trial, tree.Len(), len(ref.rows))
 			}
 		}
+	}
+	if deadPrefix == 0 || compactions == 0 {
+		t.Fatalf("Farthest order never skipped a dead prefix (%d) or compacted (%d)", deadPrefix, compactions)
 	}
 }
 

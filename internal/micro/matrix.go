@@ -404,12 +404,18 @@ func (rc *RunningCentroid) Count() int { return rc.cnt }
 // distance gap.
 const rcExactCutoff = 128
 
+// RowsNeeded reports whether CentroidOf reads its rows argument: once at
+// most rcExactCutoff rows remain it rescans them, before that it reads only
+// the running sum. A caller that defers dropping removed rows from its
+// slice compacts it when this turns true.
+func (rc *RunningCentroid) RowsNeeded() bool { return rc.cnt <= rcExactCutoff }
+
 // CentroidOf returns the mean point of rows, which must be exactly the rows
-// still in the running sum. The returned slice is reused by subsequent
-// calls. O(dim) per call for large row sets, an exact O(len(rows)·dim)
-// rescan below rcExactCutoff.
+// still in the running sum when RowsNeeded holds and is not read otherwise.
+// The returned slice is reused by subsequent calls. O(dim) per call for
+// large row sets, an exact O(len(rows)·dim) rescan below rcExactCutoff.
 func (rc *RunningCentroid) CentroidOf(rows []int) []float64 {
-	if len(rows) <= rcExactCutoff {
+	if rc.RowsNeeded() {
 		for j := range rc.buf {
 			rc.buf[j] = 0
 		}
@@ -455,6 +461,20 @@ func (m *Matrix) CentroidRows(rows []int, dst []float64) []float64 {
 	return dst
 }
 
+// CompactRows returns rows minus those marked in dead, preserving order and
+// reusing rows' backing array. It is the lazy counterpart of FilterRows for
+// loops that mark extracted rows as they go and need the exact slice only
+// now and then.
+func CompactRows(rows []int, dead []bool) []int {
+	out := rows[:0]
+	for _, r := range rows {
+		if !dead[r] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // FilterRows returns remaining minus the rows in drop, preserving order. It
 // is the shared sorted-remove helper of every partition loop: scratch must
 // have length at least the maximum row index plus one; it is used as a
@@ -466,12 +486,7 @@ func FilterRows(remaining, drop []int, scratch []bool) []int {
 	for _, r := range drop {
 		scratch[r] = true
 	}
-	out := remaining[:0]
-	for _, r := range remaining {
-		if !scratch[r] {
-			out = append(out, r)
-		}
-	}
+	out := CompactRows(remaining, scratch)
 	for _, r := range drop {
 		scratch[r] = false
 	}

@@ -22,7 +22,11 @@ import "context"
 // selects the k nearest records by partial selection instead of a full
 // sort, and routes the Farthest/KNearest queries through a Searcher: a
 // deletable k-d tree over the normalized QI cube for large inputs
-// (subquadratic rounds), the flat linear scan below IndexCrossover.
+// (subquadratic rounds at any dimensionality), the flat linear scan below
+// IndexCrossover. Extracted records are marked in a row-indexed bitmap; the
+// remaining-row slice is compacted only when a linear reader needs it
+// exact — an unindexed Searcher, the exact centroid of a small remainder,
+// the final cluster — so an indexed round costs no O(n) filtering pass.
 func MDAV(points [][]float64, k int) ([]Cluster, error) {
 	return MDAVMatrix(NewMatrix(points), k)
 }
@@ -52,31 +56,50 @@ func MDAVMatrixCtx(ctx context.Context, m *Matrix, k int) ([]Cluster, error) {
 	}
 	rc := NewRunningCentroid(m)
 	search := m.NewSearcher(remaining)
-	scratch := make([]bool, n)
+	// remaining keeps extracted rows (marked in dead) until exact() drops
+	// them; rc counts the rows still unclustered.
+	dead := make([]bool, n)
+	exact := func() []int {
+		if len(remaining) > rc.Count() {
+			remaining = CompactRows(remaining, dead)
+		}
+		return remaining
+	}
+	centroid := func() []float64 {
+		if rc.RowsNeeded() {
+			exact()
+		}
+		return rc.CentroidOf(remaining)
+	}
 	extract := func(seed []float64) []int {
+		if !search.Indexed() {
+			exact()
+		}
 		xr := search.Farthest(remaining, seed)
 		cluster := search.KNearest(remaining, m.Row(xr), k)
-		remaining = FilterRows(remaining, cluster, scratch)
+		for _, r := range cluster {
+			dead[r] = true
+		}
 		rc.RemoveRows(cluster)
 		search.Remove(cluster)
 		return cluster
 	}
 	var clusters []Cluster
-	for len(remaining) >= 3*k {
+	for rc.Count() >= 3*k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cluster1 := extract(rc.CentroidOf(remaining))
+		cluster1 := extract(centroid())
 		// The paper seeds the second cluster at the record farthest from the
 		// first seed, which is cluster1[0] (distance 0 to itself).
 		cluster2 := extract(m.Row(cluster1[0]))
 		clusters = append(clusters, Cluster{Rows: cluster1}, Cluster{Rows: cluster2})
 	}
-	if len(remaining) >= 2*k {
-		cluster1 := extract(rc.CentroidOf(remaining))
-		clusters = append(clusters, Cluster{Rows: cluster1}, Cluster{Rows: remaining})
-	} else if len(remaining) > 0 {
-		clusters = append(clusters, Cluster{Rows: remaining})
+	if rc.Count() >= 2*k {
+		cluster1 := extract(centroid())
+		clusters = append(clusters, Cluster{Rows: cluster1}, Cluster{Rows: exact()})
+	} else if rc.Count() > 0 {
+		clusters = append(clusters, Cluster{Rows: exact()})
 	}
 	return clusters, nil
 }

@@ -28,8 +28,8 @@ func TestRadixDrainIsolated(t *testing.T) {
 			return want[i].tie < want[j].tie
 		})
 		var tmp []drainEntry
-		counts := make([]int32, 1<<16)
-		got := radixSortDrain(a, &tmp, counts, true)
+		var counts []int32
+		got := radixSortDrain(a, &tmp, &counts, true)
 		for i := range got {
 			if got[i].d != want[i].d || got[i].tie != want[i].tie {
 				t.Fatalf("trial %d n=%d: mismatch at %d", trial, n, i)

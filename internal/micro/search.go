@@ -14,12 +14,15 @@ import (
 // bit-identical results (the property tests enforce it), so the crossover is
 // purely a performance knob.
 //
-// The caller keeps its shrinking candidate slice as before and passes the
-// current slice to every query: when the Searcher is unindexed the slice is
-// the scan domain, and when it is indexed the slice is ignored (the tree
-// tracks liveness itself via Remove). The slice must always contain exactly
-// the rows not yet removed, in build order with removed rows dropped —
-// precisely what FilterRows maintains.
+// The caller keeps its candidate slice and passes it to every query. When
+// the Searcher is unindexed the slice is the scan domain: it must contain
+// exactly the rows not yet removed, in build order with removed rows
+// dropped — precisely what FilterRows maintains. When it is indexed
+// (Indexed, fixed at construction) the tree tracks liveness itself via
+// Remove and Farthest, Nearest and KNearest ignore the slice, so a caller
+// may leave removed rows in it and compact only when a linear reader needs
+// the exact rows. Stream in linear mode (above kdWideDimLimit dimensions)
+// reads the slice even when indexed, so its callers keep it exact.
 //
 // Shard handout: a single Searcher is not safe for concurrent use (it owns
 // mutable liveness and stream scratch), but distinct Searchers over the
@@ -32,10 +35,9 @@ type Searcher struct {
 	tree *KDTree
 	// buildRows retains the build order until the tree is actually built:
 	// construction is lazy, triggered by the first query whose shape the
-	// tree helps (see ensureTree), so workloads that never take a
-	// tree-eligible path — e.g. Farthest-only loops in high dimensions —
-	// never pay for a build. pending accumulates removals issued before the
-	// build and is replayed into the fresh tree.
+	// tree helps (see ensureTree), so a Searcher that only ever streams in
+	// linear mode never pays for a build. pending accumulates removals
+	// issued before the build and is replayed into the fresh tree.
 	buildRows []int
 	pending   []int
 	// cache, when non-nil, supplies the tree as a clone of a shared master
@@ -136,10 +138,13 @@ func fullAscending(rows []int, n int) bool {
 
 // NewSearcher returns a Searcher over the given candidate rows, building
 // the k-d tree when the candidate set is at least the matrix's index
-// crossover. The rows slice fixes the tie-breaking rank order (see KDTree).
+// crossover (and the matrix has a dimension to split on). The rows slice
+// fixes the tie-breaking rank order (see KDTree). Every candidate set takes
+// it: the full row set, Algorithm 3's confidential-rank subsets and SABRE's
+// bucket pools, whose members are scattered across the whole QI cube, alike.
 func (m *Matrix) NewSearcher(rows []int) *Searcher {
 	s := &Searcher{m: m}
-	if len(rows) >= m.indexCrossover() {
+	if len(rows) >= m.indexCrossover() && m.dim > 0 {
 		s.buildRows = append([]int(nil), rows...)
 		if m.cache != nil && fullAscending(rows, m.n) {
 			s.cache = m.cache
@@ -150,8 +155,7 @@ func (m *Matrix) NewSearcher(rows []int) *Searcher {
 
 // ensureTree builds the k-d tree on first demand — from the shared master
 // cache when one applies, fresh otherwise — and replays removals that
-// arrived before the build. A build that yields no tree (degenerate
-// zero-dimension matrix) permanently reverts the Searcher to linear scans.
+// arrived before the build.
 func (s *Searcher) ensureTree() *KDTree {
 	if s.tree == nil && s.buildRows != nil {
 		if s.cache != nil {
@@ -159,33 +163,16 @@ func (s *Searcher) ensureTree() *KDTree {
 		} else {
 			s.tree = NewKDTree(s.m, s.buildRows)
 		}
-		if s.tree != nil {
-			for _, r := range s.pending {
-				s.tree.Delete(r)
-			}
+		for _, r := range s.pending {
+			s.tree.Delete(r)
 		}
 		s.buildRows, s.pending = nil, nil
 	}
 	return s.tree
 }
 
-// NewSparseSearcher is NewSearcher for candidate sets that are sparse,
-// geometry-scattered slices of the matrix — e.g. the confidential-ranking
-// subsets of Algorithm 3 or SABRE's bucket pools, whose members are
-// contiguous in the *confidential* ranking and therefore spread across the
-// whole QI cube. In low dimensions the tree still prunes; in high
-// dimensions the nearest-neighbor ball around a query covers most of such
-// a sparse set's bounding boxes and the traversal degrades below the plain
-// linear scan, so the tree is built only up to kdWideDimLimit dimensions.
-func (m *Matrix) NewSparseSearcher(rows []int) *Searcher {
-	if m.dim > kdWideDimLimit {
-		return &Searcher{m: m}
-	}
-	return m.NewSearcher(rows)
-}
-
-// Indexed reports whether queries can run against the k-d tree (built or
-// pending a lazy build).
+// Indexed reports whether queries run against the k-d tree (built or
+// pending a lazy build). It is fixed when the Searcher is made.
 func (s *Searcher) Indexed() bool { return s.tree != nil || s.buildRows != nil }
 
 // StreamIndexed reports whether Stream would traverse the k-d tree rather
@@ -221,16 +208,11 @@ func (s *Searcher) RemoveOne(row int) {
 }
 
 // Farthest returns the candidate row farthest from p, ties toward the
-// earliest surviving position of the build order. The tree is used only in
-// low dimensions: a farthest search prunes through upper bounds, and with
-// concentrated high-dimensional geometry every subtree's upper bound hugs
-// the incumbent, so the traversal degrades below the linear scan (measured
-// crossover between 3 and 4 dimensions on uniform cubes).
+// earliest surviving position of the build order. Indexed, it runs the
+// tree's pivot-ordered scan (KDTree.Farthest) at every dimensionality.
 func (s *Searcher) Farthest(rows []int, p []float64) int {
-	if s.m.dim <= kdWideDimLimit {
-		if t := s.ensureTree(); t != nil {
-			return t.Farthest(p)
-		}
+	if t := s.ensureTree(); t != nil {
+		return t.Farthest(p)
 	}
 	return s.m.Farthest(rows, p)
 }
@@ -337,18 +319,17 @@ func (s *Searcher) Stream(rows []int, p []float64) *Stream {
 	return st
 }
 
-// kdWideDimLimit is the dimensionality above which the "wide" query shapes
-// — Farthest and the nearest-first Stream — stop using the k-d tree. Both
-// must keep subtrees alive whenever a loose bound crosses their frontier
-// (the incumbent farthest distance, or the emission front), and in higher
-// dimensions box and annulus bounds are loose enough (every box is "close"
-// to every query) that the traversal touches most of the tree while paying
-// per-node constants; the flat linear pass is strictly cheaper there.
-// Nearest/KNearest keep the tree at any dimension: their incumbent ball
-// collapses after the first leaf and keeps cutting deep even when boxes
-// overlap the query ball. The measured crossover for both wide shapes sits
-// between 3 and 4 dimensions on uniform cubes and on the Patient Discharge
-// mixed-cardinality geometry.
+// kdWideDimLimit is the dimensionality above which the nearest-first
+// Stream stops using the k-d tree. A stream must keep every subtree whose
+// lower bound crosses its emission front, and in higher dimensions box and
+// annulus bounds are loose enough (every box is "close" to every query)
+// that the traversal touches most of the tree while paying per-node
+// constants; the flat linear pass is strictly cheaper there. The other
+// queries keep the tree at any dimension: Nearest/KNearest because their
+// incumbent ball collapses after the first leaf, Farthest because it stops
+// on the pivot bound, not on boxes. The measured crossover for the stream
+// sits between 3 and 4 dimensions on uniform cubes and on the Patient
+// Discharge mixed-cardinality geometry.
 const kdWideDimLimit = 3
 
 // presortStreak is the number of consecutive heavily-consumed streams after
@@ -453,10 +434,7 @@ func (st *Stream) drain() {
 // finishDrain radix-sorts the materialized remainder and records the drain
 // in the Searcher's streak.
 func (st *Stream) finishDrain(rem []drainEntry, sortTies bool) []drainEntry {
-	if st.s.radixCounts == nil {
-		st.s.radixCounts = make([]int32, 1<<16)
-	}
-	sorted := radixSortDrain(rem, &st.s.drainTmp, st.s.radixCounts, sortTies)
+	sorted := radixSortDrain(rem, &st.s.drainTmp, &st.s.radixCounts, sortTies)
 	// The radix passes ping-pong between the two scratch buffers, so the
 	// sorted result may live in either; reanchor them so the next drain
 	// never aliases its source and destination.
@@ -493,8 +471,9 @@ func growDrain(buf *[]drainEntry, n int) []drainEntry {
 // value is constant across the array are skipped. The digit width adapts to
 // the array: 11-bit digits keep the count array at 8 KiB for small drains
 // (where clearing a 256 KiB count array would dominate), 16-bit digits
-// halve the number of passes once the data outweighs the clearing.
-func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts []int32, sortTies bool) []drainEntry {
+// halve the number of passes once the data outweighs the clearing. tmp and
+// counts are scratch, grown as needed and kept for the next call.
+func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts *[]int32, sortTies bool) []drainEntry {
 	if len(a) < 2 {
 		return a
 	}
@@ -502,6 +481,10 @@ func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts []int32, sortTies 
 	if len(a) >= 1<<14 {
 		bits = 16
 	}
+	if len(*counts) < 1<<bits {
+		*counts = make([]int32, 1<<bits)
+	}
+	cnt := (*counts)[:1<<bits]
 	b := growDrain(tmp, len(a))
 	var orD, andD uint64
 	andD = ^uint64(0)
@@ -520,7 +503,7 @@ func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts []int32, sortTies 
 			if (orT>>shift)&mask == (andT>>shift)&mask {
 				continue // constant digit: nothing to order
 			}
-			radixPassTie(a, b, counts[:1<<bits], shift, mask)
+			radixPassTie(a, b, cnt, shift, mask)
 			a, b = b, a
 		}
 	}
@@ -528,7 +511,7 @@ func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts []int32, sortTies 
 		if uint32(orD>>uint(shift))&mask == uint32(andD>>uint(shift))&mask {
 			continue
 		}
-		radixPassDist(a, b, counts[:1<<bits], shift, mask)
+		radixPassDist(a, b, cnt, shift, mask)
 		a, b = b, a
 	}
 	*tmp = b

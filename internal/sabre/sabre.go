@@ -318,7 +318,7 @@ func redistribute(ctx context.Context, t *dataset.Table, mat *micro.Matrix, orde
 	poolSearch := make([]*micro.Searcher, len(buckets))
 	for i, b := range buckets {
 		pools[i] = append([]int(nil), order[b.lo:b.hi]...)
-		poolSearch[i] = mat.NewSparseSearcher(pools[i])
+		poolSearch[i] = mat.NewSearcher(pools[i])
 	}
 	alive := append([]int(nil), order...)
 	global := mat.NewSearcher(alive)

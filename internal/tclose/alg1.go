@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/micro"
@@ -240,6 +242,10 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 			st.worst.push(worstEntry{emd: st.emds[i], idx: i})
 		}
 	}
+	var index *partnerIndex
+	if policy == MergeNearestQI {
+		index = &partnerIndex{}
+	}
 	merges := 0
 	for st.nAlive > 1 {
 		if err := p.interrupted(); err != nil {
@@ -250,42 +256,19 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 		if worst < 0 || worstEMD <= p.t {
 			break
 		}
-		// Choose the merge partner per policy. The candidate evaluations
-		// are independent (cached centroids are read-only; the greedy
-		// policy clones the worst cluster's histogram per trial), so for
-		// large live sets they fan out across the worker budget with an
-		// order-stable argmin — dead slots evaluate to +Inf and real costs
-		// are finite, so the reduction picks exactly the serial scan's
-		// first strict minimum.
-		closest := -1
-		eval := func(j int) float64 {
-			if !st.alive[j] || j == worst {
-				return math.Inf(1)
-			}
-			switch policy {
-			case MergeGreedyEMD:
-				trial := st.hists[worst][0].Clone()
-				trial.Merge(st.hists[j][0])
-				return trial.EMD()
-			default: // MergeNearestQI: the paper's policy
-				return micro.Dist2(st.centroid[worst], st.centroid[j])
-			}
-		}
-		w := 1
-		if p.workers >= 2 && st.nAlive >= mergePartnerParMin {
-			w = p.workers
-		}
-		closest = par.ArgminFloat64(len(st.rows), w, eval)
-		if closest >= 0 && (!st.alive[closest] || closest == worst) {
-			// Only possible when every candidate evaluated to +Inf, i.e.
-			// no live partner exists (nAlive <= 1, already excluded by the
-			// loop condition); kept as a guard.
-			closest = -1
+		var closest int
+		if index != nil && index.ready(p, st) {
+			closest = index.nearest(st, worst)
+		} else {
+			closest = st.scanPartner(p, worst, policy)
 		}
 		if closest < 0 {
 			break
 		}
 		st.merge(p, worst, closest)
+		if index != nil {
+			index.absorbed(closest)
+		}
 		if st.emds[worst] > 0 {
 			st.worst.push(worstEntry{emd: st.emds[worst], idx: worst})
 		}
@@ -306,6 +289,41 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 	return out, merges, maxEMD, nil
 }
 
+// scanPartner chooses the merge partner of worst per policy by evaluating
+// every live cluster. The candidate evaluations are independent (cached
+// centroids are read-only; the greedy policy clones the worst cluster's
+// histogram per trial), so for large live sets they fan out across the
+// worker budget with an order-stable argmin — dead slots evaluate to +Inf
+// and real costs are finite, so the reduction picks exactly the serial
+// scan's first strict minimum. It returns -1 when no live partner exists.
+func (st *mergeState) scanPartner(p *problem, worst int, policy MergePolicy) int {
+	eval := func(j int) float64 {
+		if !st.alive[j] || j == worst {
+			return math.Inf(1)
+		}
+		switch policy {
+		case MergeGreedyEMD:
+			trial := st.hists[worst][0].Clone()
+			trial.Merge(st.hists[j][0])
+			return trial.EMD()
+		default: // MergeNearestQI: the paper's policy
+			return micro.Dist2(st.centroid[worst], st.centroid[j])
+		}
+	}
+	w := 1
+	if p.workers >= 2 && st.nAlive >= mergePartnerParMin {
+		w = p.workers
+	}
+	closest := par.ArgminFloat64(len(st.rows), w, eval)
+	if closest >= 0 && (!st.alive[closest] || closest == worst) {
+		// Only possible when every candidate evaluated to +Inf, i.e. no
+		// live partner exists (nAlive <= 1, already excluded by the loop
+		// condition); kept as a guard.
+		return -1
+	}
+	return closest
+}
+
 // merge folds cluster b into cluster a and updates the cached centroid,
 // histogram and EMD of a.
 func (st *mergeState) merge(p *problem, a, b int) {
@@ -322,4 +340,103 @@ func (st *mergeState) merge(p *problem, a, b int) {
 	st.rows[b] = nil
 	st.hists[b] = nil
 	st.nAlive--
+}
+
+// Merge-partner index thresholds. Both sides of each produce identical
+// merges; they are variables so the property tests can force the index on
+// from the first merge and rebuild it every few merges.
+var (
+	// partnerBuildScans sets when the index is first built: once the merge
+	// loop has run partnerBuildScans·log2(live clusters) linear partner
+	// scans, about the cost of one build, so a loop that makes only a few
+	// merges (the warm repair) never pays for one.
+	partnerBuildScans = 16
+	// partnerRebuildShare sets when it is rebuilt: once the clusters whose
+	// centroid moved since the last build outnumber the live clusters
+	// divided by partnerRebuildShare.
+	partnerRebuildShare = 4
+)
+
+// partnerIndex answers the MergeNearestQI partner query without evaluating
+// every live centroid. Every live cluster is in exactly one of two places:
+// a k-d tree over the centroids as of the last build, or the list of
+// clusters whose centroid has moved since — merged clusters, whose tree
+// coordinates are stale. The partner is the (distance, index) minimum of
+// one tree query and a scan of that list, which is exactly the linear
+// scan's first strict minimum: the tree is built over the live indices in
+// ascending order, so its (distance, rank) tie order is the index order,
+// and its distances equal micro.Dist2 bit for bit (the same squared
+// differences, summed in the same dimension order).
+type partnerIndex struct {
+	tree  *micro.KDTree
+	moved []int
+	scans int
+}
+
+// ready reports whether the partner query should use the index, building
+// it once the linear scans already made have cost about one build and
+// rebuilding it once the moved list outgrows its share of the live
+// clusters. It counts the linear scan the caller makes when it declines.
+func (x *partnerIndex) ready(p *problem, st *mergeState) bool {
+	if x.tree == nil && x.scans < partnerBuildScans*bits.Len(uint(st.nAlive)) {
+		x.scans++
+		return false
+	}
+	if x.tree == nil || len(x.moved)*partnerRebuildShare > st.nAlive {
+		x.build(p, st)
+	}
+	return true
+}
+
+// build indexes the current centroids of the live clusters.
+func (x *partnerIndex) build(p *problem, st *mergeState) {
+	dim := p.mat.Dim()
+	data := make([]float64, len(st.centroid)*dim)
+	live := make([]int, 0, st.nAlive)
+	for i, c := range st.centroid {
+		if st.alive[i] {
+			copy(data[i*dim:], c)
+			live = append(live, i)
+		}
+	}
+	m := micro.NewMatrixFlat(data, dim)
+	m.SetTuning(p.mat.TuningOf())
+	x.tree = micro.NewKDTree(m, live)
+	x.moved = x.moved[:0]
+}
+
+// nearest returns the live cluster nearest to worst, ties toward the lower
+// index. worst joins the moved list first: its centroid changes when it
+// merges.
+func (x *partnerIndex) nearest(st *mergeState, worst int) int {
+	if x.tree.Contains(worst) {
+		x.tree.Delete(worst)
+		x.moved = append(x.moved, worst)
+	}
+	c := st.centroid[worst]
+	best, bestD := x.tree.Nearest(c), 0.0
+	if best >= 0 {
+		bestD = micro.Dist2(c, st.centroid[best])
+	}
+	for _, j := range x.moved {
+		if j == worst {
+			continue
+		}
+		if d := micro.Dist2(c, st.centroid[j]); best < 0 || d < bestD || (d == bestD && j < best) {
+			best, bestD = j, d
+		}
+	}
+	return best
+}
+
+// absorbed records that partner left the live set.
+func (x *partnerIndex) absorbed(partner int) {
+	if x.tree == nil {
+		return
+	}
+	if x.tree.Contains(partner) {
+		x.tree.Delete(partner)
+	} else {
+		x.moved = slices.DeleteFunc(x.moved, func(j int) bool { return j == partner })
+	}
 }

@@ -145,11 +145,14 @@ func (p *problem) rankSubsets(k int) [][]int {
 // is maintained incrementally, the farthest-seed queries run on a Searcher
 // over the whole record set, and each rank subset carries its own Searcher
 // for the per-cluster nearest-record draws — k-d-tree-backed above the
-// crossover (subsets only in low dimensions, where pruning over a sparse
-// QI-scattered set still wins; see micro.NewSparseSearcher), linear
-// otherwise, with identical results either way. Subset Searchers tie-break
-// by position in the confidential ranking, exactly as the linear scan over
-// the subset slice does.
+// crossover at any dimensionality, linear below it, with identical results
+// either way. Subset Searchers tie-break by position in the confidential
+// ranking, exactly as the linear scan over the subset slice does. Drawn
+// records are marked in a row-indexed bitmap and left in the remaining and
+// subset slices, which are compacted (order kept) only when a linear reader
+// needs them exact: an unindexed Searcher, or the exact centroid of a
+// small remainder. An indexed draw therefore costs no pass over its subset
+// and an indexed round no pass over the table.
 // Cancellation is checked once per seed-pair round, so an abandoned run
 // stops within two cluster builds.
 func (p *problem) tClosenessFirstPartition(k int) ([]micro.Cluster, error) {
@@ -158,29 +161,38 @@ func (p *problem) tClosenessFirstPartition(k int) ([]micro.Cluster, error) {
 	base := n / k
 	var clusters []micro.Cluster
 	// Live membership for centroid/farthest computations over the whole
-	// remaining data set.
+	// remaining data set; rc counts the live rows, subLive those of each
+	// subset.
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
+	dead := make([]bool, n)
 	rc := micro.NewRunningCentroid(p.mat)
 	global := p.mat.NewSearcher(remaining)
 	subSearch := make([]*micro.Searcher, k)
+	subLive := make([]int, k)
 	for i := range subsets {
-		subSearch[i] = p.mat.NewSparseSearcher(subsets[i])
+		subSearch[i] = p.mat.NewSearcher(subsets[i])
+		subLive[i] = len(subsets[i])
 	}
 	take := func(i int, seed []float64) int {
+		if !subSearch[i].Indexed() && len(subsets[i]) > subLive[i] {
+			subsets[i] = micro.CompactRows(subsets[i], dead)
+		}
 		x := subSearch[i].Nearest(subsets[i], seed)
-		subsets[i] = removeOne(subsets[i], x)
+		dead[x] = true
+		subLive[i]--
 		subSearch[i].RemoveOne(x)
 		return x
 	}
 	// The k per-subset draws of one cluster are independent shards: each
-	// touches only its own subset slice and Searcher, so they run on a
-	// reusable worker pool when the subsets are big enough to pay for the
-	// handoff. Draw results land in fixed slots and are appended in subset
-	// order, so the cluster is identical to the serial loop's at any worker
-	// count (and the pool is degenerate — fully inline — at one worker).
+	// touches only its own subset slice, Searcher and the dead marks of its
+	// own rows, so they run on a reusable worker pool when the subsets are
+	// big enough to pay for the handoff. Draw results land in fixed slots
+	// and are appended in subset order, so the cluster is identical to the
+	// serial loop's at any worker count (and the pool is degenerate — fully
+	// inline — at one worker).
 	pool := par.NewPool(1)
 	if p.workers >= 2 && k >= 2 && base >= alg3DrawParMinRows {
 		pool = par.NewPool(p.workers)
@@ -190,7 +202,7 @@ func (p *problem) tClosenessFirstPartition(k int) ([]micro.Cluster, error) {
 	build := func(seed []float64) micro.Cluster {
 		rows := make([]int, 0, k+1)
 		pool.Run(k, func(i int) {
-			if len(subsets[i]) == 0 {
+			if subLive[i] == 0 {
 				drawn[i] = -1
 				return
 			}
@@ -207,41 +219,39 @@ func (p *problem) tClosenessFirstPartition(k int) ([]micro.Cluster, error) {
 		left := base - len(clusters) - 1 // clusters still to build after this one
 		surplus, at := 0, -1
 		for i := 0; i < k; i++ {
-			if s := len(subsets[i]) - left; s > surplus {
+			if s := subLive[i] - left; s > surplus {
 				surplus, at = s, i
 			}
 		}
 		if at >= 0 && surplus > 0 {
 			rows = append(rows, take(at, seed))
 		}
-		remaining = micro.FilterRows(remaining, rows, p.rowScratch)
 		rc.RemoveRows(rows)
 		global.Remove(rows)
 		return micro.Cluster{Rows: rows}
 	}
-	for len(remaining) > 0 {
+	// seedRows returns the remaining-row slice, compacted first when a
+	// linear reader is about to read it.
+	seedRows := func() []int {
+		if (!global.Indexed() || rc.RowsNeeded()) && len(remaining) > rc.Count() {
+			remaining = micro.CompactRows(remaining, dead)
+		}
+		return remaining
+	}
+	for rc.Count() > 0 {
 		if err := p.interrupted(); err != nil {
 			return nil, err
 		}
-		x0 := global.Farthest(remaining, rc.CentroidOf(remaining))
+		rows := seedRows()
+		x0 := global.Farthest(rows, rc.CentroidOf(rows))
 		c := build(p.mat.Row(x0))
 		clusters = append(clusters, c)
-		if len(remaining) == 0 {
+		if rc.Count() == 0 {
 			break
 		}
-		x1 := global.Farthest(remaining, p.mat.Row(x0))
+		x1 := global.Farthest(seedRows(), p.mat.Row(x0))
 		clusters = append(clusters, build(p.mat.Row(x1)))
-		p.reportProgress("partition", n-len(remaining), n)
+		p.reportProgress("partition", n-rc.Count(), n)
 	}
 	return clusters, nil
-}
-
-// removeOne returns s with the first occurrence of v removed.
-func removeOne(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }

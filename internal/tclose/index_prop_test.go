@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/micro"
 	"repro/internal/synth"
 )
@@ -132,24 +133,39 @@ func referenceMergeUntilTClose(p *problem, clusters []micro.Cluster) ([]micro.Cl
 	return out, merges
 }
 
-// TestMergeHeapMatchesLinearScan pins the worst-cluster max-heap of the
-// Algorithm 1 merge loop to the linear scan it replaced, including the
-// lowest-index tie-breaking among equal EMDs (MDAV partitions of discrete
-// data produce many clusters with identical confidential histograms, so
-// ties are common, not hypothetical).
+// TestMergeHeapMatchesLinearScan pins the worst-cluster max-heap and the
+// merge-partner index of the Algorithm 1 merge loop to the linear scans
+// they replaced, including the lowest-index tie-breaking among equal EMDs
+// and equal centroid distances (MDAV partitions of discrete data produce
+// many clusters with identical confidential histograms and coinciding
+// centroids, so ties are common, not hypothetical). The index runs at its
+// default thresholds, forced on from the first merge, and forced on and
+// rebuilt every few merges or every merge.
 func TestMergeHeapMatchesLinearScan(t *testing.T) {
-	tables := []struct {
+	cases := []struct {
 		name string
+		tbl  *dataset.Table
 		k    int
 		tl   float64
 	}{
-		{"tight", 2, 0.03},
-		{"mid", 3, 0.1},
-		{"loose", 5, 0.3},
+		{"tight", synth.PatientDischarge(500, 77), 2, 0.03},
+		{"mid", synth.PatientDischarge(500, 77), 3, 0.1},
+		{"loose", synth.PatientDischarge(500, 77), 5, 0.3},
+		{"dup-tight", duplicateHeavyTable(400, 5), 2, 0.02},
+		{"dup-mid", duplicateHeavyTable(400, 6), 3, 0.08},
 	}
-	tbl := synth.PatientDischarge(500, 77)
-	for _, tc := range tables {
-		p, err := newProblem(tbl, tc.k, tc.tl)
+	indexModes := []struct {
+		name           string
+		scans, rebuild int
+	}{
+		{"default", partnerBuildScans, partnerRebuildShare},
+		{"first-merge", 0, partnerRebuildShare},
+		{"every-few", 0, 64},
+		{"every-merge", 0, 1 << 20},
+	}
+	defer func(s, r int) { partnerBuildScans, partnerRebuildShare = s, r }(partnerBuildScans, partnerRebuildShare)
+	for _, tc := range cases {
+		p, err := newProblem(tc.tbl, tc.k, tc.tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,19 +173,25 @@ func TestMergeHeapMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClusters, gotMerges, gotMaxEMD, err := p.mergeUntilTClose(clusters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := p.maxEMD(gotClusters); gotMaxEMD != want {
-			t.Errorf("%s: MaxEMD=%v want %v", tc.name, gotMaxEMD, want)
-		}
 		wantClusters, wantMerges := referenceMergeUntilTClose(p, clusters)
-		if gotMerges != wantMerges {
-			t.Errorf("%s: merges=%d want %d", tc.name, gotMerges, wantMerges)
+		if wantMerges < 10 {
+			t.Fatalf("%s: only %d merges, too few to exercise the index", tc.name, wantMerges)
 		}
-		if !reflect.DeepEqual(gotClusters, wantClusters) {
-			t.Fatalf("%s: merged partitions diverge", tc.name)
+		for _, mode := range indexModes {
+			partnerBuildScans, partnerRebuildShare = mode.scans, mode.rebuild
+			gotClusters, gotMerges, gotMaxEMD, err := p.mergeUntilTClose(clusters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := p.maxEMD(gotClusters); gotMaxEMD != want {
+				t.Errorf("%s/%s: MaxEMD=%v want %v", tc.name, mode.name, gotMaxEMD, want)
+			}
+			if gotMerges != wantMerges {
+				t.Errorf("%s/%s: merges=%d want %d", tc.name, mode.name, gotMerges, wantMerges)
+			}
+			if !reflect.DeepEqual(gotClusters, wantClusters) {
+				t.Fatalf("%s/%s: merged partitions diverge", tc.name, mode.name)
+			}
 		}
 	}
 }

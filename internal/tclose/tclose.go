@@ -40,12 +40,17 @@
 //   - Algorithm 1: the partitioner's cost plus the merge loop, whose
 //     per-cluster histograms, EMDs and centroids are cached and updated in
 //     O(1) amortized per merge, and whose worst-cluster selection runs on a
-//     lazily invalidated max-heap — O(merges·(log(n/k) + n/k)) with the
-//     linear term only in the partner scan. MDAV itself routes its
+//     lazily invalidated max-heap (O(log(n/k)) amortized per merge). The
+//     merge partner comes from a linear scan over the live centroids for
+//     the first merges and, once those scans have cost about one build,
+//     from an index: a k-d tree over the live centroids plus a short list
+//     of clusters that moved since its last build, rebuilt when that list
+//     passes a quarter of the live clusters. MDAV itself routes its
 //     Farthest/KNearest rounds through the micro.Searcher spatial index
 //     (k-d tree over the normalized QI cube, subquadratic per round where
 //     the geometry prunes) with the per-round centroid maintained
-//     incrementally in O(kd).
+//     incrementally in O(kd) and no per-round filtering of the remaining
+//     rows.
 //   - Algorithm 2: farthest seeds come from the spatial index and swap
 //     candidates from the Searcher's nearest-first stream (lazy while
 //     consumption is light, one radix-sorted pass in the full-drain regime
@@ -63,8 +68,10 @@
 //     the current cluster state are skipped in O(1) where that memo still
 //     pays for itself.
 //   - Algorithm 3: seed and per-subset nearest queries run on Searchers
-//     (one global, one per rank subset) plus O(n·k) subset bookkeeping;
-//     still no EMD evaluations at all.
+//     (one global, one per rank subset), k-d-tree-backed at any
+//     dimensionality above the index crossover; drawn records are marked
+//     dead rather than filtered out of the remaining and subset slices per
+//     cluster. Still no EMD evaluations at all.
 //
 // Every optimized path is pinned to its naive reference implementation by
 // property tests (identical partitions and EMDs); EMD evaluation is exact
@@ -73,9 +80,10 @@
 // # Parallel determinism contract
 //
 // The partition loops are sharded across the engine worker budget
-// (micro.Matrix.Workers, set by core.WithWorkers): Algorithm 1's merge
-// partner evaluations fan out with an order-stable argmin on the serial
-// scan's (cost, index) tie key; Algorithm 2's eviction scoring fans out
+// (micro.Matrix.Workers, set by core.WithWorkers): Algorithm 1's linear
+// merge partner evaluations fan out with an order-stable argmin on the
+// serial scan's (cost, index) tie key, the key the partner index answers
+// on too; Algorithm 2's eviction scoring fans out
 // the same way on the integer (numerator, index) key after warming the
 // histogram's swap geometry (emd.Hist.WarmSwapCache) so the concurrent
 // evaluations are pure reads; Algorithm 2's per-cluster distance fills are
