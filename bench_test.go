@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 8), plus ablations of the design choices listed in DESIGN.md §5.
+// (Section 8), plus the baseline, linkage-risk and release-style
+// comparisons and substrate micro-benchmarks.
 //
 // Each paper artifact has one Benchmark* family:
 //
@@ -12,6 +13,10 @@
 // The sub-benchmark grids are representative subsets of the paper's full
 // grids so `go test -bench=.` finishes in minutes; cmd/benchtables and
 // cmd/benchfigs run the complete grids.
+//
+// Every iteration runs on a fresh engine (runFresh), so ns/op times one
+// cold run including its substrate build. A reused engine would time cache
+// hits: it caches MDAV per k and Algorithm 3 per effective cluster size.
 package repro_test
 
 import (
@@ -20,11 +25,9 @@ import (
 
 	"repro"
 	"repro/internal/emd"
-	"repro/internal/generalization"
 	"repro/internal/metrics"
 	"repro/internal/micro"
 	"repro/internal/synth"
-	"repro/internal/tclose"
 )
 
 // benchKs and benchTs subsample the paper's k ∈ {2..30} × t ∈ {0.01..0.25}
@@ -38,7 +41,7 @@ func benchCell(b *testing.B, tbl *repro.Table, alg repro.Algorithm, k int, tl fl
 	b.Helper()
 	var sizesMin, sizesAvg float64
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Anonymize(tbl, repro.Config{
+		res, err := runFresh(tbl, repro.Spec{
 			Algorithm: alg, K: k, T: tl, SkipAssessment: true,
 		})
 		if err != nil {
@@ -101,7 +104,7 @@ func BenchmarkFigure5(b *testing.B) {
 		for _, tl := range benchTs {
 			b.Run(fmt.Sprintf("%v/t=%.2f", alg, tl), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := repro.Anonymize(tbl, repro.Config{
+					if _, err := runFresh(tbl, repro.Spec{
 						Algorithm: alg, K: 2, T: tl, SkipAssessment: true,
 					}); err != nil {
 						b.Fatal(err)
@@ -131,7 +134,7 @@ func BenchmarkFigure6(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%v/t=%.2f", ds.name, alg, tl), func(b *testing.B) {
 					var sse float64
 					for i := 0; i < b.N; i++ {
-						res, err := repro.Anonymize(ds.tbl, repro.Config{
+						res, err := runFresh(ds.tbl, repro.Spec{
 							Algorithm: alg, K: 2, T: tl, SkipAssessment: true,
 						})
 						if err != nil {
@@ -158,7 +161,7 @@ func BenchmarkFigure7(b *testing.B) {
 				b.Run(fmt.Sprintf("%v/k=%d/t=%.2f", alg, k, tl), func(b *testing.B) {
 					var sse float64
 					for i := 0; i < b.N; i++ {
-						res, err := repro.Anonymize(tbl, repro.Config{
+						res, err := runFresh(tbl, repro.Spec{
 							Algorithm: alg, K: k, T: tl, SkipAssessment: true,
 						})
 						if err != nil {
@@ -173,138 +176,6 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) ---
-
-// BenchmarkAblationPartitioner compares MDAV and V-MDAV as the initial
-// partitioner of Algorithm 1.
-func BenchmarkAblationPartitioner(b *testing.B) {
-	tbl := repro.CensusMCD()
-	parts := []struct {
-		name string
-		part repro.Partitioner
-	}{
-		{"MDAV", nil},
-		{"VMDAV", func(points [][]float64, k int) ([]micro.Cluster, error) {
-			return micro.VMDAV(points, k, 0)
-		}},
-	}
-	for _, p := range parts {
-		b.Run(p.name, func(b *testing.B) {
-			var sse float64
-			for i := 0; i < b.N; i++ {
-				res, err := repro.Anonymize(tbl, repro.Config{
-					Algorithm: repro.Merge, K: 5, T: 0.17,
-					Partitioner: p.part, SkipAssessment: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sse = res.SSE
-			}
-			b.ReportMetric(sse*1e6, "sse-ppm")
-		})
-	}
-}
-
-// BenchmarkAblationAlg2Standalone quantifies the cost of Algorithm 2's
-// finishing merge step (the t-closeness guarantee) against the standalone
-// swap-only variant, which may miss the target.
-func BenchmarkAblationAlg2Standalone(b *testing.B) {
-	tbl := repro.CensusMCD()
-	b.Run("standalone", func(b *testing.B) {
-		var maxEMD float64
-		for i := 0; i < b.N; i++ {
-			res, err := tclose.Algorithm2Standalone(tbl, 5, 0.09)
-			if err != nil {
-				b.Fatal(err)
-			}
-			maxEMD = res.MaxEMD
-		}
-		b.ReportMetric(maxEMD*1e4, "maxemd-e4")
-	})
-	b.Run("guaranteed", func(b *testing.B) {
-		var maxEMD float64
-		for i := 0; i < b.N; i++ {
-			res, err := tclose.Algorithm2(tbl, 5, 0.09)
-			if err != nil {
-				b.Fatal(err)
-			}
-			maxEMD = res.MaxEMD
-		}
-		b.ReportMetric(maxEMD*1e4, "maxemd-e4")
-	})
-}
-
-// BenchmarkAblationMergePolicy compares the paper's QI-nearest merge
-// partner selection with a greedy EMD-minimizing selection.
-func BenchmarkAblationMergePolicy(b *testing.B) {
-	tbl := repro.CensusMCD()
-	policies := []struct {
-		name   string
-		policy tclose.MergePolicy
-	}{
-		{"nearest-qi", tclose.MergeNearestQI},
-		{"greedy-emd", tclose.MergeGreedyEMD},
-	}
-	for _, p := range policies {
-		b.Run(p.name, func(b *testing.B) {
-			var sse, merges float64
-			for i := 0; i < b.N; i++ {
-				res, err := tclose.Algorithm1Policy(tbl, 5, 0.21, nil, p.policy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				anon, err := micro.Aggregate(tbl, res.Clusters)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := metrics.NormalizedSSE(tbl, anon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sse, merges = s, float64(res.Merges)
-			}
-			b.ReportMetric(sse*1e6, "sse-ppm")
-			b.ReportMetric(merges, "merges")
-		})
-	}
-}
-
-// BenchmarkAblationAggregation compares the mean and median aggregation
-// operators on the same Algorithm 3 partition (Section 2.3: the mean is
-// SSE-optimal for any fixed partition).
-func BenchmarkAblationAggregation(b *testing.B) {
-	tbl := repro.CensusMCD()
-	res, err := tclose.Algorithm3(tbl, 5, 0.13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops := []struct {
-		name string
-		op   micro.AggregationOp
-	}{
-		{"mean", micro.OpMean},
-		{"median", micro.OpMedian},
-	}
-	for _, o := range ops {
-		b.Run(o.name, func(b *testing.B) {
-			var sse float64
-			for i := 0; i < b.N; i++ {
-				anon, err := micro.AggregateWith(tbl, res.Clusters, o.op)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := metrics.NormalizedSSE(tbl, anon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sse = s
-			}
-			b.ReportMetric(sse*1e6, "sse-ppm")
-		})
-	}
-}
-
 // BenchmarkBaselineMondrian compares the generalization baseline
 // (Mondrian-t) against the microaggregation algorithms on equal (k, t) —
 // the paper's central claim is that microaggregation preserves more utility.
@@ -313,26 +184,20 @@ func BenchmarkBaselineMondrian(b *testing.B) {
 	b.Run("mondrian-t", func(b *testing.B) {
 		var sse float64
 		for i := 0; i < b.N; i++ {
-			clusters, err := generalization.MondrianT(tbl, 5, 0.17)
+			res, err := runFresh(tbl, repro.Spec{
+				Algorithm: repro.MondrianBaseline, K: 5, T: 0.17, SkipAssessment: true,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			anon, err := generalization.Aggregate(tbl, clusters)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := metrics.NormalizedSSE(tbl, anon)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sse = s
+			sse = res.SSE
 		}
 		b.ReportMetric(sse*1e6, "sse-ppm")
 	})
 	b.Run("alg3", func(b *testing.B) {
 		var sse float64
 		for i := 0; i < b.N; i++ {
-			res, err := repro.Anonymize(tbl, repro.Config{
+			res, err := runFresh(tbl, repro.Spec{
 				Algorithm: repro.TClosenessFirst, K: 5, T: 0.17, SkipAssessment: true,
 			})
 			if err != nil {
@@ -365,7 +230,7 @@ func BenchmarkMDAV(b *testing.B) {
 // Census value domain — the inner loop of Algorithms 1 and 2.
 func BenchmarkEMD(b *testing.B) {
 	tbl := synth.CensusMCD()
-	p, err := tclose.Algorithm3(tbl, 5, 0.25)
+	p, err := runFresh(tbl, repro.Spec{Algorithm: repro.TClosenessFirst, K: 5, T: 0.25, SkipAssessment: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,7 +254,7 @@ func BenchmarkEMD(b *testing.B) {
 // correlation of the release, scaled by 1000 — original is ~520).
 func BenchmarkAblationReleaseStyle(b *testing.B) {
 	tbl := repro.CensusMCD()
-	res, err := tclose.Algorithm3(tbl, 5, 0.13)
+	res, err := runFresh(tbl, repro.Spec{Algorithm: repro.TClosenessFirst, K: 5, T: 0.13, SkipAssessment: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -445,7 +310,7 @@ func BenchmarkBaselineSABRE(b *testing.B) {
 		b.Run(fmt.Sprintf("sabre/t=%.2f", tl), func(b *testing.B) {
 			var sse, ecs float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Anonymize(tbl, repro.Config{
+				res, err := runFresh(tbl, repro.Spec{
 					Algorithm: repro.SABREBaseline, K: 2, T: tl, SkipAssessment: true,
 				})
 				if err != nil {
@@ -459,7 +324,7 @@ func BenchmarkBaselineSABRE(b *testing.B) {
 		b.Run(fmt.Sprintf("alg3/t=%.2f", tl), func(b *testing.B) {
 			var sse, ecs float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Anonymize(tbl, repro.Config{
+				res, err := runFresh(tbl, repro.Spec{
 					Algorithm: repro.TClosenessFirst, K: 2, T: tl, SkipAssessment: true,
 				})
 				if err != nil {
@@ -483,7 +348,7 @@ func BenchmarkBaselineIncognito(b *testing.B) {
 		b.Run(fmt.Sprintf("%v", alg), func(b *testing.B) {
 			var sse float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Anonymize(tbl, repro.Config{
+				res, err := runFresh(tbl, repro.Spec{
 					Algorithm: alg, K: 5, T: 0.17, SkipAssessment: true,
 				})
 				if err != nil {
@@ -507,7 +372,7 @@ func BenchmarkLinkageRisk(b *testing.B) {
 		b.Run(fmt.Sprintf("%v", alg), func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Anonymize(tbl, repro.Config{
+				res, err := runFresh(tbl, repro.Spec{
 					Algorithm: alg, K: 5, T: 0.17, SkipAssessment: true,
 				})
 				if err != nil {
@@ -522,51 +387,4 @@ func BenchmarkLinkageRisk(b *testing.B) {
 			b.ReportMetric(rate*1e4, "linkage-e4")
 		})
 	}
-}
-
-// BenchmarkAblationUnivariateOptimal compares MDAV against the exact
-// Hansen-Mukherjee dynamic program on a single quasi-identifier, bounding
-// how much the multivariate heuristic loses to the 1-D optimum
-// (within-cluster SSE of the partition, scaled by 1e3).
-func BenchmarkAblationUnivariateOptimal(b *testing.B) {
-	tbl := repro.CensusMCD()
-	col := tbl.Column(0)
-	points := make([][]float64, len(col))
-	for i, v := range col {
-		points[i] = []float64{v}
-	}
-	clusterSSE := func(clusters []micro.Cluster) float64 {
-		total := 0.0
-		for _, c := range clusters {
-			var sum, sum2 float64
-			for _, r := range c.Rows {
-				sum += col[r]
-				sum2 += col[r] * col[r]
-			}
-			total += sum2 - sum*sum/float64(len(c.Rows))
-		}
-		return total
-	}
-	b.Run("optimal-dp", func(b *testing.B) {
-		var sse float64
-		for i := 0; i < b.N; i++ {
-			clusters, err := micro.OptimalUnivariate(col, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sse = clusterSSE(clusters)
-		}
-		b.ReportMetric(sse/1e3, "sse-k")
-	})
-	b.Run("mdav", func(b *testing.B) {
-		var sse float64
-		for i := 0; i < b.N; i++ {
-			clusters, err := micro.MDAV(points, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sse = clusterSSE(clusters)
-		}
-		b.ReportMetric(sse/1e3, "sse-k")
-	})
 }

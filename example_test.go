@@ -1,15 +1,16 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro"
 )
 
-// ExampleAnonymize shows the basic anonymization flow on a small in-memory
-// table.
-func ExampleAnonymize() {
+// ExampleNew shows the basic anonymization flow on a small in-memory
+// table: prepare an engine over it, then run an algorithm.
+func ExampleNew() {
 	schema, err := repro.NewSchema(
 		repro.Attribute{Name: "age", Role: repro.QuasiIdentifier, Kind: repro.Numeric},
 		repro.Attribute{Name: "salary", Role: repro.Confidential, Kind: repro.Numeric},
@@ -26,7 +27,11 @@ func ExampleAnonymize() {
 			log.Fatal(err)
 		}
 	}
-	res, err := repro.Anonymize(table, repro.Config{
+	eng, err := repro.New(table)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), repro.Spec{
 		Algorithm: repro.TClosenessFirst, K: 3, T: 0.3,
 	})
 	if err != nil {
@@ -44,8 +49,11 @@ func ExampleAnonymize() {
 // ExampleTCloseness verifies a released table independently of how it was
 // produced.
 func ExampleTCloseness() {
-	table := repro.CensusMCD()
-	res, err := repro.Anonymize(table, repro.Config{
+	eng, err := repro.New(repro.CensusMCD())
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), repro.Spec{
 		Algorithm: repro.Merge, K: 5, T: 0.2, SkipAssessment: true,
 	})
 	if err != nil {

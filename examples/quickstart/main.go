@@ -3,11 +3,10 @@
 // t-closeness-first algorithm (the paper's Algorithm 3, its best performer),
 // and inspect the release and its privacy report.
 //
-// The engine (repro.New) is the primary API: it prepares the shared
-// substrate once, so running more parameter points — or re-running after
-// appending freshly arrived records — costs only the algorithm itself. The
-// older one-shot repro.Anonymize(table, cfg) is deprecated but fully
-// supported; it behaves exactly like a single Run on a throwaway engine.
+// The engine (repro.New) is the one way to run an algorithm: it prepares
+// the shared substrate once, so running more parameter points — or
+// re-running after appending freshly arrived records — costs only the
+// algorithm itself.
 package main
 
 import (

@@ -15,7 +15,7 @@ import (
 
 func anonOrDie(t *testing.T, tbl *repro.Table, alg repro.Algorithm, k int, tl float64) *repro.Result {
 	t.Helper()
-	res, err := repro.Anonymize(tbl, repro.Config{
+	res, err := runFresh(tbl, repro.Spec{
 		Algorithm: alg, K: k, T: tl, SkipAssessment: true,
 	})
 	if err != nil {
@@ -249,7 +249,7 @@ func TestClaimGeneralizationFamiliesLoseMoreUtility(t *testing.T) {
 func TestPipelineDeterminism(t *testing.T) {
 	run := func() []float64 {
 		tbl := repro.PatientDischarge(300, 20160314)
-		res, err := repro.Anonymize(tbl, repro.Config{
+		res, err := runFresh(tbl, repro.Spec{
 			Algorithm: repro.Merge, K: 3, T: 0.15, SkipAssessment: true,
 		})
 		if err != nil {

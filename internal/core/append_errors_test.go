@@ -84,7 +84,7 @@ func TestEngineAppendArityAndKindErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Anonymize(tbl, spec)
+	cold, err := runFresh(tbl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEngineAppendUnknownLabelExtendsDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Anonymize(coldTbl, spec)
+	want, err := runFresh(coldTbl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,12 @@
 // baseline), performs the aggregation step, and assembles the privacy and
 // utility diagnostics the evaluation section reports.
 //
-// The primary entry point is the Engine: NewEngine prepares the reusable
+// The one entry point is the Engine: NewEngine prepares the reusable
 // per-table substrate once, Engine.Run executes any algorithm against it
-// under a context, and Engine.Append ingests new records in epochs. The
-// one-shot Anonymize remains as a thin compatibility shim over a throwaway
-// engine.
+// under a context, and Engine.Append ingests new records in epochs.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -115,8 +112,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// Spec parameterizes one anonymization run (Engine.Run or the legacy
-// Anonymize): which algorithm and at which privacy level.
+// Spec parameterizes one Engine.Run: which algorithm and at which privacy
+// level.
 type Spec struct {
 	// Algorithm selects the anonymization method. The zero value is Merge
 	// (Algorithm 1).
@@ -126,11 +123,6 @@ type Spec struct {
 	// T is the t-closeness parameter (maximum EMD between any equivalence
 	// class's confidential distribution and the global one).
 	T float64
-	// Partitioner overrides the initial microaggregation of Algorithm 1
-	// (nil selects MDAV). Ignored by the other algorithms. Note that the
-	// engine caches default-MDAV partitions per k; a custom partitioner is
-	// invoked on every run.
-	Partitioner tclose.Partitioner
 	// SkipAssessment suppresses the independent privacy re-verification of
 	// the output, which costs an extra O(n + classes·bins) pass; benchmarks
 	// of the algorithms themselves set it.
@@ -145,11 +137,10 @@ type Spec struct {
 	// near shard boundaries depend on the worker budget — which is why the
 	// mode is an explicit opt-in rather than a transparent optimization.
 	// With one worker (or a table too small to shard) the run delegates to
-	// the serial algorithm and IS bit-identical. Unsupported algorithms and
-	// custom Partitioners are rejected by ValidateSpec with
-	// ErrShardedUnsupported; sharded runs ignore Warm (they neither read
-	// nor seed the warm partition cache, whose entries are keyed by
-	// worker-independent serial results).
+	// the serial algorithm and IS bit-identical. Unsupported algorithms are
+	// rejected by ValidateSpec with ErrShardedUnsupported; sharded runs
+	// ignore Warm (they neither read nor seed the warm partition cache,
+	// whose entries are keyed by worker-independent serial results).
 	Sharded bool
 	// Warm requests warm-start re-anonymization for the paper's three
 	// algorithms: the run is seeded from the engine's cached partition of an
@@ -157,21 +148,15 @@ type Spec struct {
 	// deletion damage repaired locally, t restored by the finishing merge),
 	// so re-run cost after a small append/delete is proportional to the
 	// delta rather than the table. A warm run that finds no usable seed —
-	// first run at a (Algorithm, K, T) point, or a custom Partitioner —
-	// falls back to a cold run and caches its partition as the seed for the
-	// next one; Result.Warm reports which happened. Privacy guarantees are
+	// the first run at a (Algorithm, K, T) point — falls back to a cold
+	// run and caches its partition as the seed for the next one;
+	// Result.Warm reports which happened. Privacy guarantees are
 	// identical either way (k-anonymity at the effective k and MaxEMD <= T);
 	// only the partition, and with it utility, may differ from a cold run,
 	// within the bounds pinned by the warm utility tests. Ignored by the
 	// baselines, which always run cold.
 	Warm bool
 }
-
-// Config is the legacy name of Spec, kept so one-shot Anonymize callers
-// compile unchanged.
-//
-// Deprecated: use Spec with NewEngine / Engine.Run.
-type Config = Spec
 
 // Result is the outcome of a full anonymization run.
 type Result struct {
@@ -203,26 +188,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Anonymize runs the configured algorithm over the table and returns the
-// release plus diagnostics. The input table is not modified. Every call
-// rebuilds the shared substrate from scratch; parameter sweeps should
-// prepare an Engine once and Run each point instead.
-//
-// Deprecated: use NewEngine and Engine.Run. Anonymize remains fully
-// supported and bit-identical to an Engine run over a fresh engine.
-func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
-	// Parameter validation precedes the substrate build so that invalid
-	// calls stay as cheap as they were before the engine existed.
-	if err := validateSpec(cfg); err != nil {
-		return nil, err
-	}
-	eng, err := newEngine(t, false)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(context.Background(), cfg)
-}
-
 // ErrUnknownAlgorithm rejects Spec.Algorithm values outside the six
 // implemented methods. It is returned before any substrate work, so a
 // malformed request (a service submission, a corrupted config) stays as
@@ -230,9 +195,8 @@ func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
 var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 
 // ErrShardedUnsupported rejects Spec.Sharded combined with an algorithm
-// (or a custom Partitioner) that has no sharded construction path; see
-// Spec.Sharded. Like the other domain sentinels it is returned before any
-// substrate work.
+// that has no sharded construction path; see Spec.Sharded. Like the other
+// domain sentinels it is returned before any substrate work.
 var ErrShardedUnsupported = errors.New("core: sharded mode unsupported for this spec")
 
 // ValidateSpec checks a Spec's parameters against its algorithm's domain
@@ -240,9 +204,9 @@ var ErrShardedUnsupported = errors.New("core: sharded mode unsupported for this 
 // run itself would: tclose.ErrBadK/ErrBadT for the paper's algorithms,
 // generalization.ErrBadK for the recoding baselines, sabre.ErrBadK/ErrBadT
 // for SABRE, and ErrUnknownAlgorithm for an Algorithm value outside the
-// implemented set. Engine.Run and Anonymize call it before touching the
-// substrate; services should call it at admission time so an invalid
-// submission is rejected with a 4xx instead of becoming a failed job.
+// implemented set. Engine.Run calls it before touching the substrate;
+// services should call it at admission time so an invalid submission is
+// rejected with a 4xx instead of becoming a failed job.
 //
 // The domains deliberately mirror each algorithm's own checks — Mondrian
 // and Incognito accept any t (values above the EMD ceiling are simply
@@ -270,22 +234,11 @@ func ValidateSpec(spec Spec) error {
 	default:
 		return fmt.Errorf("%w %v", ErrUnknownAlgorithm, int(spec.Algorithm))
 	}
-	if spec.Sharded {
-		switch spec.Algorithm {
-		case Merge, KAnonymityFirst:
-			if spec.Partitioner != nil {
-				return fmt.Errorf("%w: custom partitioners see the whole point set and cannot run per shard", ErrShardedUnsupported)
-			}
-		default:
-			return fmt.Errorf("%w: algorithm %v", ErrShardedUnsupported, spec.Algorithm)
-		}
+	if spec.Sharded && spec.Algorithm != Merge && spec.Algorithm != KAnonymityFirst {
+		return fmt.Errorf("%w: algorithm %v", ErrShardedUnsupported, spec.Algorithm)
 	}
 	return nil
 }
-
-// validateSpec is the historical internal name; the exported ValidateSpec
-// is the single source of truth.
-func validateSpec(spec Spec) error { return ValidateSpec(spec) }
 
 // assess re-verifies the partition directly (rather than via the aggregated
 // table) so that identical centroids of two different clusters cannot mask a

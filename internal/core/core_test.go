@@ -1,18 +1,30 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/micro"
 	"repro/internal/privacy"
 	"repro/internal/synth"
-	"repro/internal/tclose"
 )
+
+// runFresh runs spec on a fresh engine over tbl: one cold run including its
+// substrate build, the reference every cached, appended, deleted, reopened
+// or warm engine path is compared against.
+func runFresh(tbl *dataset.Table, spec Spec) (*Result, error) {
+	eng, err := NewEngine(tbl)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(context.Background(), spec)
+}
 
 func TestAnonymizeAllAlgorithms(t *testing.T) {
 	tbl := synth.Census(300, synth.FedTax, 5)
 	for _, alg := range []Algorithm{Merge, KAnonymityFirst, TClosenessFirst, MondrianBaseline} {
-		res, err := Anonymize(tbl, Config{Algorithm: alg, K: 4, T: 0.2})
+		res, err := runFresh(tbl, Spec{Algorithm: alg, K: 4, T: 0.2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -53,7 +65,7 @@ func TestAnonymizeAllAlgorithms(t *testing.T) {
 
 func TestAnonymizeSkipAssessment(t *testing.T) {
 	tbl := synth.Uniform(60, 2, 9)
-	res, err := Anonymize(tbl, Config{Algorithm: TClosenessFirst, K: 3, T: 0.2, SkipAssessment: true})
+	res, err := runFresh(tbl, Spec{Algorithm: TClosenessFirst, K: 3, T: 0.2, SkipAssessment: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,36 +76,17 @@ func TestAnonymizeSkipAssessment(t *testing.T) {
 
 func TestAnonymizeErrors(t *testing.T) {
 	tbl := synth.Uniform(20, 2, 3)
-	if _, err := Anonymize(nil, Config{K: 2, T: 0.1}); err == nil {
+	if _, err := runFresh(nil, Spec{K: 2, T: 0.1}); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := Anonymize(tbl, Config{Algorithm: Algorithm(42), K: 2, T: 0.1}); err == nil {
+	if _, err := runFresh(tbl, Spec{Algorithm: Algorithm(42), K: 2, T: 0.1}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
-	if _, err := Anonymize(tbl, Config{K: 0, T: 0.1}); err == nil {
+	if _, err := runFresh(tbl, Spec{K: 0, T: 0.1}); err == nil {
 		t.Error("bad k should propagate")
 	}
-	if _, err := Anonymize(tbl, Config{K: 2, T: 0}); err == nil {
+	if _, err := runFresh(tbl, Spec{K: 2, T: 0}); err == nil {
 		t.Error("bad t should propagate")
-	}
-}
-
-func TestAnonymizeCustomPartitioner(t *testing.T) {
-	tbl := synth.Uniform(80, 2, 13)
-	var called bool
-	part := tclose.Partitioner(func(points [][]float64, k int) ([]micro.Cluster, error) {
-		called = true
-		return micro.VMDAV(points, k, 0)
-	})
-	res, err := Anonymize(tbl, Config{Algorithm: Merge, K: 3, T: 0.25, Partitioner: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Error("custom partitioner was not used")
-	}
-	if res.MaxEMD > 0.25+1e-9 {
-		t.Errorf("MaxEMD %v exceeds t", res.MaxEMD)
 	}
 }
 
@@ -101,13 +94,13 @@ func TestAnonymizeDoesNotModifyInput(t *testing.T) {
 	tbl := synth.Census(100, synth.Fica, 3)
 	before := make([]float64, tbl.Len())
 	copy(before, tbl.ColumnView(0))
-	if _, err := Anonymize(tbl, Config{Algorithm: Merge, K: 3, T: 0.2}); err != nil {
+	if _, err := runFresh(tbl, Spec{Algorithm: Merge, K: 3, T: 0.2}); err != nil {
 		t.Fatal(err)
 	}
 	after := tbl.ColumnView(0)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatal("Anonymize modified its input table")
+			t.Fatal("a run modified its input table")
 		}
 	}
 }
@@ -149,7 +142,7 @@ func TestParseAlgorithm(t *testing.T) {
 
 func TestAnonymizeElapsedPositive(t *testing.T) {
 	tbl := synth.Uniform(50, 2, 21)
-	res, err := Anonymize(tbl, Config{Algorithm: TClosenessFirst, K: 2, T: 0.2})
+	res, err := runFresh(tbl, Spec{Algorithm: TClosenessFirst, K: 2, T: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +157,7 @@ func TestAnonymizeElapsedPositive(t *testing.T) {
 func TestAnonymizeNewBaselines(t *testing.T) {
 	tbl := synth.Census(300, synth.FedTax, 17)
 	for _, alg := range []Algorithm{SABREBaseline, IncognitoBaseline} {
-		res, err := Anonymize(tbl, Config{Algorithm: alg, K: 3, T: 0.25})
+		res, err := runFresh(tbl, Spec{Algorithm: alg, K: 3, T: 0.25})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

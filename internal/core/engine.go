@@ -29,9 +29,8 @@ import (
 // paper's whole evaluation — stop paying per point.
 //
 // An Engine is safe for concurrent use: Run calls may overlap each other
-// and Append. Tuning is engine-scoped (see WithWorkers, WithIndexCrossover)
-// instead of going through the deprecated micro package globals, so
-// concurrent engines with different settings never race.
+// and Append. Tuning is engine-scoped (see WithWorkers), so concurrent
+// engines with different settings never race.
 type Engine struct {
 	tun      micro.Tuning
 	progress func(Progress)
@@ -92,24 +91,13 @@ type Option func(*Engine)
 // engine: the distance scans and spatial-index builds, and — since the
 // partition loops were sharded — Algorithm 1's merge partner scans,
 // Algorithm 2's swap-candidate scoring and per-cluster distance fills,
-// Algorithm 3's per-subset draws and SABRE's per-bucket draws. It replaces
-// writing the deprecated micro.MaxScanWorkers global, which races across
-// concurrent runs. Every seam reduces in a fixed order on the serial tie
-// keys, so partitions and releases are bit-identical for any value (the
-// worker-sweep and golden conformance tests pin this); set 1 to force
-// fully serial execution. Values < 1 keep the process-wide default
-// (GOMAXPROCS).
+// Algorithm 3's per-subset draws and SABRE's per-bucket draws. Every seam
+// reduces in a fixed order on the serial tie keys, so partitions and
+// releases are bit-identical for any value (the worker-sweep and golden
+// conformance tests pin this); set 1 to force fully serial execution.
+// Values < 1 keep the process-wide default (GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.tun.Workers = n }
-}
-
-// WithIndexCrossover sets the candidate-set size at or above which this
-// engine's neighbor searches build the k-d tree index, replacing the
-// deprecated micro.IndexCrossover global. Both sides of the crossover
-// produce identical partitions; it is purely a performance knob. Values < 1
-// keep the process-wide default.
-func WithIndexCrossover(n int) Option {
-	return func(e *Engine) { e.tun.IndexCrossover = n }
 }
 
 // WithProgress installs a hook receiving coarse progress events from the
@@ -126,22 +114,18 @@ func WithProgress(fn func(Progress)) Option {
 // through Append. Preparation validates the schema and builds the shared
 // substrate once.
 func NewEngine(t *dataset.Table, opts ...Option) (*Engine, error) {
-	return newEngine(t, true, opts...)
-}
-
-// newEngine optionally skips the defensive table copy — the Anonymize shim
-// path, which by contract reads the caller's table directly and never
-// appends.
-func newEngine(t *dataset.Table, clone bool, opts ...Option) (*Engine, error) {
 	if t == nil {
 		return nil, errors.New("core: nil table")
 	}
+	return newEngine(t.Clone(), opts...)
+}
+
+// newEngine prepares an engine that owns t: Open hands it a table no one
+// else holds, so it skips NewEngine's defensive copy.
+func newEngine(t *dataset.Table, opts ...Option) (*Engine, error) {
 	e := &Engine{}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if clone {
-		t = t.Clone()
 	}
 	prep, err := tclose.Prepare(t)
 	if err != nil {
@@ -320,11 +304,11 @@ func (e *Engine) runOpts(ctx context.Context, alg Algorithm) tclose.Run {
 // Run executes one anonymization against the engine's current table epoch
 // and returns the release plus diagnostics. The context cancels the run
 // between partition, merge and refinement steps (the run then returns
-// ctx.Err()); results are bit-identical to the one-shot Anonymize over the
+// ctx.Err()); cold results are bit-identical to a fresh engine's over the
 // same records. Run is safe to call concurrently with other runs and with
 // Append.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	if err := validateSpec(spec); err != nil {
+	if err := ValidateSpec(spec); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -403,7 +387,7 @@ func (e *Engine) runCold(ctx context.Context, st *engineState, spec Spec) (
 		if spec.Sharded {
 			res, err = st.prep.Algorithm1Sharded(e.runOpts(ctx, spec.Algorithm), spec.K, spec.T)
 		} else {
-			res, err = st.prep.Algorithm1(e.runOpts(ctx, spec.Algorithm), spec.K, spec.T, spec.Partitioner)
+			res, err = st.prep.Algorithm1(e.runOpts(ctx, spec.Algorithm), spec.K, spec.T)
 		}
 		if err == nil {
 			clusters, maxEMD, merges, ek = res.Clusters, res.MaxEMD, res.Merges, res.EffectiveK

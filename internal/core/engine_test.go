@@ -31,9 +31,9 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestEngineSweepMatchesAnonymize is the equivalence property of the API
-// redesign: a (k, t) sweep through one shared Engine yields results
-// bit-identical to cold one-shot Anonymize calls, for every algorithm —
+// TestEngineSweepMatchesAnonymize is the equivalence property of the
+// engine: a (k, t) sweep through one shared Engine yields results
+// bit-identical to cold runs on fresh engines, for every algorithm —
 // including the cached-partition paths of Algorithms 1 and 3, which a sweep
 // hits on its second t point.
 func TestEngineSweepMatchesAnonymize(t *testing.T) {
@@ -52,7 +52,7 @@ func TestEngineSweepMatchesAnonymize(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v k=%d t=%v: engine: %v", alg, k, tl, err)
 				}
-				want, err := Anonymize(tbl, spec)
+				want, err := runFresh(tbl, spec)
 				if err != nil {
 					t.Fatalf("%v k=%d t=%v: cold: %v", alg, k, tl, err)
 				}
@@ -79,7 +79,7 @@ func TestEngineSweepMatchesAnonymizeIndexed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Anonymize(tbl, spec)
+			want, err := runFresh(tbl, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestEngineAppendMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: engine: %v", alg, err)
 		}
-		want, err := Anonymize(full, spec)
+		want, err := runFresh(full, spec)
 		if err != nil {
 			t.Fatalf("%v: cold: %v", alg, err)
 		}
@@ -181,7 +181,7 @@ func TestEngineAppendWidensRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Anonymize(cold, spec)
+		want, err := runFresh(cold, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	tbl := synth.Census(500, synth.Fica, 11)
 	// A tiny crossover forces the shared k-d tree master (and its clones)
 	// even at this size, maximizing contention on the lazy build.
-	eng, err := NewEngine(tbl, WithIndexCrossover(32))
+	eng, err := NewEngine(tbl, withIndexCrossover(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	}
 	want := make([]*Result, len(specs))
 	for i, spec := range specs {
-		w, err := Anonymize(tbl, spec)
+		w, err := runFresh(tbl, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,8 +309,8 @@ func TestEngineConcurrentRuns(t *testing.T) {
 }
 
 // TestEngineSweepFaster is the headline acceptance property: a 6-point
-// (k, t) sweep at n=1500 through one Engine beats six cold Anonymize calls
-// by at least 1.5x end-to-end, with bit-identical partitions. Timing is
+// (k, t) sweep at n=1500 through one Engine beats six cold runs on fresh
+// engines by at least 1.5x end-to-end, with bit-identical partitions. Timing is
 // taken as the best of three attempts to shed scheduler noise.
 func TestEngineSweepFaster(t *testing.T) {
 	tbl := synth.PatientDischarge(1500, synth.DefaultSeed)
@@ -324,7 +324,7 @@ func TestEngineSweepFaster(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Correctness first: one engine sweep against six cold calls.
+	// Correctness first: one engine sweep against six cold runs.
 	eng, err := NewEngine(tbl)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestEngineSweepFaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Anonymize(tbl, spec)
+		want, err := runFresh(tbl, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestEngineSweepFaster(t *testing.T) {
 	sweepCold := func() time.Duration {
 		start := time.Now()
 		for _, spec := range specs {
-			if _, err := Anonymize(tbl, spec); err != nil {
+			if _, err := runFresh(tbl, spec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -418,20 +418,27 @@ func TestEngineProgress(t *testing.T) {
 	}
 }
 
+// withIndexCrossover sets the candidate-set size at or above which the
+// engine's neighbor searches build the k-d tree index, so small tables can
+// force the index paths.
+func withIndexCrossover(n int) Option {
+	return func(e *Engine) { e.tun.IndexCrossover = n }
+}
+
 // TestEngineTuningOptions: engine-scoped tuning changes the execution
 // strategy, never the result.
 func TestEngineTuningOptions(t *testing.T) {
 	tbl := synth.Census(400, synth.Fica, 7)
 	spec := Spec{Algorithm: Merge, K: 3, T: 0.1, SkipAssessment: true}
-	want, err := Anonymize(tbl, spec)
+	want, err := runFresh(tbl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]Option{
 		{WithWorkers(1)},
 		{WithWorkers(3)},
-		{WithIndexCrossover(16)},
-		{WithWorkers(2), WithIndexCrossover(64)},
+		{withIndexCrossover(16)},
+		{WithWorkers(2), withIndexCrossover(64)},
 	} {
 		eng, err := NewEngine(tbl, opts...)
 		if err != nil {
@@ -501,9 +508,6 @@ func TestAlgorithmTextRoundTrip(t *testing.T) {
 // engine's up-front validation must not tighten that.
 func TestLegacyMondrianLooseT(t *testing.T) {
 	tbl := synth.Uniform(60, 2, 9)
-	if _, err := Anonymize(tbl, Config{Algorithm: MondrianBaseline, K: 2, T: 1.5}); err != nil {
-		t.Fatalf("legacy Mondrian with T>1 should still work: %v", err)
-	}
 	eng, err := NewEngine(tbl)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func Open(b store.Backend, name string, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(tbl, false, opts...) // the store's table is already private
+	e, err := newEngine(tbl, opts...)
 	if err != nil {
 		return nil, err
 	}

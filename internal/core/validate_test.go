@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/generalization"
-	"repro/internal/micro"
 	"repro/internal/sabre"
 	"repro/internal/synth"
 	"repro/internal/tclose"
@@ -35,8 +34,6 @@ func TestValidateSpecDomains(t *testing.T) {
 		{"sharded mondrian", Spec{Algorithm: MondrianBaseline, K: 3, T: 0.2, Sharded: true}, ErrShardedUnsupported},
 		{"sharded sabre", Spec{Algorithm: SABREBaseline, K: 3, T: 0.2, Sharded: true}, ErrShardedUnsupported},
 		{"sharded incognito", Spec{Algorithm: IncognitoBaseline, K: 3, T: 0.2, Sharded: true}, ErrShardedUnsupported},
-		{"sharded custom partitioner", Spec{Algorithm: Merge, K: 3, T: 0.2, Sharded: true,
-			Partitioner: func(points [][]float64, k int) ([]micro.Cluster, error) { return nil, nil }}, ErrShardedUnsupported},
 		// Parameter domains are checked before the sharded gate, same order
 		// the run would fail in.
 		{"sharded alg2 k=0", Spec{Algorithm: KAnonymityFirst, K: 0, T: 0.2, Sharded: true}, tclose.ErrBadK},
@@ -80,17 +77,5 @@ func TestValidateSpecDomains(t *testing.T) {
 				t.Errorf("%v t=%v: baseline t domain should be unconstrained, got %v", alg, tt, err)
 			}
 		}
-	}
-}
-
-// TestValidateSpecBeforeSubstrate pins that an invalid one-shot Anonymize
-// fails on validation even when the table itself could never be prepared —
-// i.e. validation happens before any substrate build.
-func TestValidateSpecBeforeSubstrate(t *testing.T) {
-	if _, err := Anonymize(nil, Spec{Algorithm: Algorithm(42), K: 3, T: 0.2}); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("Anonymize(nil, unknown alg) = %v, want ErrUnknownAlgorithm", err)
-	}
-	if _, err := Anonymize(nil, Spec{Algorithm: SABREBaseline, K: 0, T: 0.2}); !errors.Is(err, sabre.ErrBadK) {
-		t.Fatalf("Anonymize(nil, sabre k=0) = %v, want sabre.ErrBadK", err)
 	}
 }

@@ -35,8 +35,7 @@ type WarmStats struct {
 // warmKey identifies one warm partition cache slot. The partition of every
 // supported algorithm is fully determined by (Algorithm, K, T) over a given
 // epoch, so together with the entry's epoch this is the "(epoch, Spec)" key
-// of the cache; custom Partitioners are never cached (their output is not a
-// function of the key).
+// of the cache.
 type warmKey struct {
 	alg Algorithm
 	k   int
@@ -52,17 +51,17 @@ type warmEntry struct {
 }
 
 // warmable reports whether warm-start applies to a spec: the paper's three
-// algorithms with the default partitioner. Baselines always run cold, and so
-// do sharded runs — warmKey has no worker dimension and sharded partitions
-// vary with the worker budget, so letting them read or seed the cache would
-// alias worker-dependent results with the serial ones.
+// algorithms. Baselines always run cold, and so do sharded runs — warmKey
+// has no worker dimension and sharded partitions vary with the worker
+// budget, so letting them read or seed the cache would alias
+// worker-dependent results with the serial ones.
 func warmable(spec Spec) bool {
 	if spec.Sharded {
 		return false
 	}
 	switch spec.Algorithm {
 	case Merge, KAnonymityFirst, TClosenessFirst:
-		return spec.Partitioner == nil
+		return true
 	}
 	return false
 }

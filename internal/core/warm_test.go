@@ -55,7 +55,7 @@ func TestEngineDeleteMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: engine: %v", name, alg, err)
 			}
-			want, err := Anonymize(filtered, spec)
+			want, err := runFresh(filtered, spec)
 			if err != nil {
 				t.Fatalf("%s/%v: cold: %v", name, alg, err)
 			}

@@ -363,11 +363,6 @@ func (t *Table) QIMatrix() [][]float64 {
 	return t.matrixFor(t.schema.QuasiIdentifiers())
 }
 
-// MatrixFor extracts arbitrary columns as a normalized row-major matrix.
-func (t *Table) MatrixFor(cols []int) [][]float64 {
-	return t.matrixFor(cols)
-}
-
 func (t *Table) matrixFor(cols []int) [][]float64 {
 	return t.normalizeRows(cols, 0, t.rows, t.normParams(cols))
 }

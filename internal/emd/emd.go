@@ -31,7 +31,7 @@
 // holds only its sorted list of occupied bins, each with its count, and one
 // full EMD — or one virtual same-size swap, the inner-loop query of
 // Algorithm 2 — costs O(occ·log m) instead of O(m), where occ ≤ min(s, m)
-// is the number of occupied bins. Building, cloning or merging a histogram
+// is the number of occupied bins. Building or merging a histogram
 // costs O(occ) (HistOf O(s·log s)), never O(m), so a whole-partition EMD
 // pass costs what its clusters hold even on a domain of tens of thousands
 // of distinct values. Exactness makes the incremental results bit-identical
@@ -350,19 +350,6 @@ func (h *Hist) Merge(other *Hist) {
 	h.occ = merged
 	h.size += other.size
 	h.absDevOK = false
-}
-
-// Clone returns an independent copy of the histogram. O(occ + size).
-func (h *Hist) Clone() *Hist {
-	return &Hist{
-		space:     h.space,
-		size:      h.size,
-		occ:       slices.Clone(h.occ),
-		absDev:    h.absDev,
-		absDevOK:  h.absDevOK,
-		cross:     slices.Clone(h.cross),
-		crossSize: h.crossSize,
-	}
 }
 
 // ensureCross (re)builds the per-level crossing cache for the current

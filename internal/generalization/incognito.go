@@ -79,28 +79,19 @@ func buildHierarchy(t *dataset.Table, col, maxLevels int) *hierarchy {
 	return h
 }
 
-// IncognitoT searches the full-domain generalization lattice bottom-up for
-// the minimal generalizations that make the table k-anonymous and t-close,
-// and returns the one with the lowest information loss. maxLevels caps the
-// per-attribute hierarchy height (8 covers up to 256 intervals; pass 0 for
-// the default).
+// IncognitoTPrepared searches the full-domain generalization lattice
+// bottom-up for the minimal generalizations that make the table k-anonymous
+// and t-close, and returns the one with the lowest information loss.
+// maxLevels caps the per-attribute hierarchy height (8 covers up to 256
+// intervals; pass 0 for the default). Cancellation is checked once per
+// evaluated lattice node.
 //
 // If even the top node (everything generalized to a single interval, i.e.
 // one equivalence class) fails — impossible, since a single class has EMD
 // 0 and size n — an error is returned only for invalid parameters.
-func IncognitoT(t *dataset.Table, k int, tLevel float64, maxLevels int) (*GenResult, error) {
-	return IncognitoTCtx(context.Background(), t, k, tLevel, maxLevels)
-}
-
-// IncognitoTCtx is IncognitoT with cooperative cancellation, checked once
-// per evaluated lattice node.
-func IncognitoTCtx(ctx context.Context, t *dataset.Table, k int, tLevel float64, maxLevels int) (*GenResult, error) {
-	return IncognitoTPrepared(ctx, t, k, tLevel, maxLevels, nil)
-}
-
-// IncognitoTPrepared is IncognitoTCtx with caller-supplied ordered-distance
-// EMD spaces, one per confidential attribute in schema order — the engine
-// path, which prepares them once per table instead of once per run. nil
+//
+// spaces are the ordered-distance EMD spaces, one per confidential
+// attribute in schema order, which the engine prepares once per table; nil
 // spaces are built here.
 func IncognitoTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel float64, maxLevels int, spaces []*emd.Space) (*GenResult, error) {
 	if ctx == nil {

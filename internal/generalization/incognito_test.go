@@ -1,6 +1,7 @@
 package generalization
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,16 +12,16 @@ import (
 
 func TestIncognitoTValidation(t *testing.T) {
 	tbl := synth.Uniform(20, 2, 1)
-	if _, err := IncognitoT(nil, 2, 0.1, 0); err == nil {
+	if _, err := IncognitoTPrepared(context.Background(), nil, 2, 0.1, 0, nil); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := IncognitoT(tbl, 0, 0.1, 0); err == nil {
+	if _, err := IncognitoTPrepared(context.Background(), tbl, 0, 0.1, 0, nil); err == nil {
 		t.Error("k = 0 should fail")
 	}
-	if _, err := IncognitoT(tbl, 2, 0, 0); err == nil {
+	if _, err := IncognitoTPrepared(context.Background(), tbl, 2, 0, 0, nil); err == nil {
 		t.Error("t = 0 should fail")
 	}
-	if _, err := IncognitoT(tbl, 2, 1.5, 0); err == nil {
+	if _, err := IncognitoTPrepared(context.Background(), tbl, 2, 1.5, 0, nil); err == nil {
 		t.Error("t > 1 should fail")
 	}
 }
@@ -31,7 +32,7 @@ func TestIncognitoTGuarantees(t *testing.T) {
 		k  int
 		tl float64
 	}{{2, 0.3}, {5, 0.2}, {10, 0.15}} {
-		res, err := IncognitoT(tbl, cfg.k, cfg.tl, 6)
+		res, err := IncognitoTPrepared(context.Background(), tbl, cfg.k, cfg.tl, 6, nil)
 		if err != nil {
 			t.Fatalf("k=%d t=%v: %v", cfg.k, cfg.tl, err)
 		}
@@ -58,7 +59,7 @@ func TestIncognitoTFindsBottomWhenTrivial(t *testing.T) {
 	// With k=1 and a loose t, the exact data (levels all zero) satisfies
 	// and must be selected: zero information loss dominates.
 	tbl := synth.Uniform(50, 2, 9)
-	res, err := IncognitoT(tbl, 1, 1.0, 4)
+	res, err := IncognitoTPrepared(context.Background(), tbl, 1, 1.0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestIncognitoTFindsBottomWhenTrivial(t *testing.T) {
 
 func TestIncognitoTStricterTNeedsCoarserNode(t *testing.T) {
 	tbl := synth.Census(300, synth.Fica, 3)
-	loose, err := IncognitoT(tbl, 2, 0.3, 6)
+	loose, err := IncognitoTPrepared(context.Background(), tbl, 2, 0.3, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := IncognitoT(tbl, 2, 0.1, 6)
+	strict, err := IncognitoTPrepared(context.Background(), tbl, 2, 0.1, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIncognitoTStricterTNeedsCoarserNode(t *testing.T) {
 
 func TestIncognitoTKLargerThanN(t *testing.T) {
 	tbl := synth.Uniform(6, 2, 5)
-	res, err := IncognitoT(tbl, 50, 0.5, 4)
+	res, err := IncognitoTPrepared(context.Background(), tbl, 50, 0.5, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +113,14 @@ func TestIncognitoTRejectsCategoricalQI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := IncognitoT(catTbl, 2, 0.3, 4); err == nil {
+	if _, err := IncognitoTPrepared(context.Background(), catTbl, 2, 0.3, 4, nil); err == nil {
 		t.Error("categorical quasi-identifier should be rejected")
 	}
 }
 
 func TestRecodeMatchesSearchRelease(t *testing.T) {
 	tbl := synth.Census(200, synth.FedTax, 11)
-	res, err := IncognitoT(tbl, 3, 0.25, 6)
+	res, err := IncognitoTPrepared(context.Background(), tbl, 3, 0.25, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

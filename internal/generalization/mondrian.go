@@ -34,26 +34,19 @@ func Mondrian(t *dataset.Table, k int) ([]micro.Cluster, error) {
 	return mondrian(context.Background(), t, k, nil, 0)
 }
 
-// MondrianT partitions like Mondrian but additionally enforces t-closeness:
-// a split is performed only when both halves keep their confidential
-// distribution within EMD tLevel of the whole data set. The root partition
-// trivially satisfies t-closeness (EMD 0), so the result always carries the
-// guarantee — at the cost of coarse partitions for small t.
-func MondrianT(t *dataset.Table, k int, tLevel float64) ([]micro.Cluster, error) {
-	return MondrianTCtx(context.Background(), t, k, tLevel)
-}
-
-// MondrianTCtx is MondrianT with cooperative cancellation, checked once per
-// recursive split.
-func MondrianTCtx(ctx context.Context, t *dataset.Table, k int, tLevel float64) ([]micro.Cluster, error) {
-	return MondrianTPrepared(ctx, t, k, tLevel, nil)
-}
-
-// MondrianTPrepared is MondrianTCtx with caller-supplied ordered-distance
-// EMD spaces, one per confidential attribute in schema order — the engine
-// path, which prepares them once per table instead of once per run. nil
-// spaces are built here; supplying nominal spaces is a caller bug (this
-// baseline's t check is defined over the ordered distance).
+// MondrianTPrepared partitions like Mondrian but additionally enforces
+// t-closeness: a split is performed only when both halves keep their
+// confidential distribution within EMD tLevel of the whole data set. The
+// root partition trivially satisfies t-closeness (EMD 0), so the result
+// always carries the guarantee — at the cost of coarse partitions for small
+// t. Cancellation is checked once per recursive split.
+//
+// spaces are the ordered-distance EMD spaces, one per confidential
+// attribute in schema order, which the engine prepares once per table. nil
+// spaces are built here — the engine's path for nominal confidentials,
+// whose prepared spaces use the nominal distance; supplying nominal spaces
+// is a caller bug (this baseline's t check is defined over the ordered
+// distance).
 func MondrianTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel float64, spaces []*emd.Space) ([]micro.Cluster, error) {
 	if spaces == nil {
 		confs := t.Schema().Confidentials()

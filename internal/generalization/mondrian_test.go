@@ -1,6 +1,7 @@
 package generalization
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestMondrianIdenticalRecords(t *testing.T) {
 func TestMondrianTGuarantee(t *testing.T) {
 	tbl := synth.CensusMCD()
 	for _, tl := range []float64{0.05, 0.15, 0.25} {
-		clusters, err := MondrianT(tbl, 2, tl)
+		clusters, err := MondrianTPrepared(context.Background(), tbl, 2, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestMondrianTCoarserThanMondrian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	constrained, err := MondrianT(tbl, 2, 0.1)
+	constrained, err := MondrianTPrepared(context.Background(), tbl, 2, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

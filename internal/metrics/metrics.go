@@ -1,7 +1,7 @@
 // Package metrics implements the information-loss (utility) measures used
-// in the paper's Section 8.3 evaluation, chiefly the normalized Sum of
-// Squared Errors of Eq. (5), plus supporting within-cluster homogeneity
-// measures used by the ablation benchmarks.
+// in the paper's Section 8.3 evaluation: the normalized Sum of Squared
+// Errors of Eq. (5), plus the QI↔confidential correlation distortion of a
+// release.
 package metrics
 
 import (
@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/micro"
 )
 
 // ErrShape is returned when original and anonymized tables disagree in size
@@ -59,68 +58,6 @@ func NormalizedSSE(original, anonymized *dataset.Table) (float64, error) {
 	return total / float64(n), nil
 }
 
-// RawSSE computes the unnormalized sum of squared attribute errors over the
-// quasi-identifiers, the classical microaggregation information-loss
-// objective.
-func RawSSE(original, anonymized *dataset.Table) (float64, error) {
-	if err := checkShapes(original, anonymized); err != nil {
-		return 0, err
-	}
-	qis := original.Schema().QuasiIdentifiers()
-	total := 0.0
-	for _, c := range qis {
-		o, a := original.ColumnView(c), anonymized.ColumnView(c)
-		for r := range o {
-			d := o[r] - a[r]
-			total += d * d
-		}
-	}
-	return total, nil
-}
-
-// WithinClusterSSE computes the sum of squared distances from each record's
-// normalized quasi-identifier vector to its cluster centroid — the quantity
-// a microaggregation partition minimizes. It equals RawSSE of the
-// min-max-normalized table after mean aggregation.
-func WithinClusterSSE(t *dataset.Table, clusters []micro.Cluster) float64 {
-	points := t.QIMatrix()
-	total := 0.0
-	for _, c := range clusters {
-		cen := micro.Centroid(points, c.Rows)
-		for _, r := range c.Rows {
-			total += micro.Dist2(points[r], cen)
-		}
-	}
-	return total
-}
-
-// SSTotal computes the total sum of squares of the normalized
-// quasi-identifier matrix around its global centroid. The classical
-// information-loss ratio is WithinClusterSSE / SSTotal.
-func SSTotal(t *dataset.Table) float64 {
-	points := t.QIMatrix()
-	if len(points) == 0 {
-		return 0
-	}
-	cen := micro.CentroidAll(points)
-	total := 0.0
-	for _, p := range points {
-		total += micro.Dist2(p, cen)
-	}
-	return total
-}
-
-// ILRatio returns the classical SSE/SST information-loss ratio in [0,1] for
-// a partition: 0 when every cluster is a single point, approaching 1 when
-// all structure is lost.
-func ILRatio(t *dataset.Table, clusters []micro.Cluster) float64 {
-	sst := SSTotal(t)
-	if sst == 0 {
-		return 0
-	}
-	return WithinClusterSSE(t, clusters) / sst
-}
-
 func checkShapes(a, b *dataset.Table) error {
 	if a.Len() != b.Len() {
 		return fmt.Errorf("%w: %d vs %d records", ErrShape, a.Len(), b.Len())
@@ -129,26 +66,6 @@ func checkShapes(a, b *dataset.Table) error {
 		return fmt.Errorf("%w: schemas differ", ErrShape)
 	}
 	return nil
-}
-
-// MeanAbsoluteError returns the mean |a-a'| over the quasi-identifiers, a
-// scale-dependent complement to NormalizedSSE used in reports.
-func MeanAbsoluteError(original, anonymized *dataset.Table) (float64, error) {
-	if err := checkShapes(original, anonymized); err != nil {
-		return 0, err
-	}
-	qis := original.Schema().QuasiIdentifiers()
-	if len(qis) == 0 || original.Len() == 0 {
-		return 0, nil
-	}
-	total := 0.0
-	for _, c := range qis {
-		o, a := original.ColumnView(c), anonymized.ColumnView(c)
-		for r := range o {
-			total += math.Abs(o[r] - a[r])
-		}
-	}
-	return total / float64(len(qis)*original.Len()), nil
 }
 
 // CorrelationDistortion measures how well a release preserves the

@@ -129,81 +129,6 @@ func TestNormalizedSSENonNegative(t *testing.T) {
 	}
 }
 
-func TestRawSSE(t *testing.T) {
-	orig, anon := pairFixture(t)
-	anon.SetValue(0, 0, 3) // diff 3 -> 9
-	anon.SetValue(1, 1, 90)
-	sse, err := RawSSE(orig, anon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sse-(9+100)) > 1e-12 {
-		t.Errorf("RawSSE = %v, want 109", sse)
-	}
-}
-
-func TestWithinClusterSSEAndILRatio(t *testing.T) {
-	tbl := synth.Uniform(40, 3, 9)
-	all := make([]int, tbl.Len())
-	for i := range all {
-		all[i] = i
-	}
-	single := []micro.Cluster{{Rows: all}}
-	singletons := make([]micro.Cluster, tbl.Len())
-	for i := range singletons {
-		singletons[i] = micro.Cluster{Rows: []int{i}}
-	}
-	sst := SSTotal(tbl)
-	if sst <= 0 {
-		t.Fatal("SSTotal should be positive for random data")
-	}
-	// One big cluster loses everything: within-SSE == SSTotal, ratio 1.
-	w := WithinClusterSSE(tbl, single)
-	if math.Abs(w-sst) > 1e-9 {
-		t.Errorf("single-cluster within SSE %v != SST %v", w, sst)
-	}
-	if r := ILRatio(tbl, single); math.Abs(r-1) > 1e-9 {
-		t.Errorf("single-cluster ILRatio = %v, want 1", r)
-	}
-	// Singletons lose nothing.
-	if w := WithinClusterSSE(tbl, singletons); w != 0 {
-		t.Errorf("singleton within SSE = %v, want 0", w)
-	}
-	if r := ILRatio(tbl, singletons); r != 0 {
-		t.Errorf("singleton ILRatio = %v, want 0", r)
-	}
-}
-
-func TestILRatioMonotoneInClusterSize(t *testing.T) {
-	// Coarser MDAV partitions lose more information.
-	tbl := synth.Census(300, synth.FedTax, 3)
-	points := tbl.QIMatrix()
-	prev := -1.0
-	for _, k := range []int{2, 5, 15, 50} {
-		clusters, err := micro.MDAV(points, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := ILRatio(tbl, clusters)
-		if r < prev-0.02 { // small tolerance: MDAV is a heuristic
-			t.Errorf("ILRatio decreased sharply at k=%d: %v -> %v", k, prev, r)
-		}
-		prev = r
-	}
-}
-
-func TestMeanAbsoluteError(t *testing.T) {
-	orig, anon := pairFixture(t)
-	anon.SetValue(0, 0, 2) // |0-2| = 2 over 2 QIs x 2 records -> 0.5
-	mae, err := MeanAbsoluteError(orig, anon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mae-0.5) > 1e-12 {
-		t.Errorf("MAE = %v, want 0.5", mae)
-	}
-}
-
 func TestAggregationReducesSSEWithSmallerClusters(t *testing.T) {
 	// End-to-end: SSE after aggregation should grow with k.
 	tbl := synth.Census(300, synth.FedTax, 11)

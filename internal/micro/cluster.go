@@ -9,22 +9,22 @@
 // median for categorical ones). Applying it to the quasi-identifier
 // projection of a data set yields a k-anonymous data set.
 //
-// The package provides the MDAV and V-MDAV partition heuristics (optimal
-// multivariate microaggregation is NP-hard) and the aggregation step.
+// The package provides the MDAV partition heuristic (optimal multivariate
+// microaggregation is NP-hard) and the aggregation step.
 //
 // # Performance
 //
-// Both partition heuristics — and, through the shared Searcher/Stream
-// substrate, the t-closeness partitioners of package tclose and the SABRE
-// baseline — run their hot neighbor queries (Farthest, Nearest, KNearest,
-// and the nearest-first candidate stream) against a deletable k-d tree
-// over the normalized quasi-identifier cube instead of an O(remaining)
-// linear scan per query:
+// MDAV — and, through the shared Searcher/Stream substrate, the
+// t-closeness partitioners of package tclose and the SABRE baseline — run
+// their hot neighbor queries (Farthest, Nearest, KNearest, and the
+// nearest-first candidate stream) against a deletable k-d tree over the
+// normalized quasi-identifier cube instead of an O(remaining) linear scan
+// per query:
 //
 //   - The tree (KDTree) is bucketed (kdLeafSize-record leaves scanned over
 //     a tree-ordered contiguous coordinate copy), built once per partition
 //     run in O(n·log n) by median selection — in parallel under the
-//     MaxScanWorkers budget for large inputs — and supports O(log n)
+//     matrix's worker budget for large inputs — and supports O(log n)
 //     deletion via per-subtree alive counts, matching the partition loops
 //     that retire k records per round.
 //   - Nearest, KNearest and the stream prune subtrees with exact
@@ -35,10 +35,10 @@
 //     in higher dimensions where boxes alone degrade. Farthest scans the
 //     rows in descending pivot distance and stops on the same kind of
 //     triangle-inequality bound, so it prunes at every dimensionality.
-//   - NewSearcher builds the tree only for candidate sets of at least
-//     IndexCrossover rows; below that the linear Matrix scans win and are
-//     used directly. IndexCrossover is a package variable so benchmarks can
-//     tune it and tests can force either path.
+//   - NewSearcher builds the tree only for candidate sets of at least the
+//     matrix's index crossover (Tuning.IndexCrossover, 2048 rows by
+//     default); below that the linear Matrix scans win and are used
+//     directly. Tests force either path through Matrix.SetTuning.
 //
 // Determinism contract: every indexed query breaks ties in exact
 // (distance, build rank) order, where build rank is the row's position in
@@ -171,15 +171,6 @@ func Centroid(points [][]float64, rows []int) []float64 {
 	return c
 }
 
-// CentroidAll returns the mean point over all rows of the matrix.
-func CentroidAll(points [][]float64) []float64 {
-	rows := make([]int, len(points))
-	for i := range rows {
-		rows[i] = i
-	}
-	return Centroid(points, rows)
-}
-
 // Aggregate performs the aggregation step: it returns a copy of t in which
 // every quasi-identifier value is replaced by its cluster representative —
 // the mean for numeric attributes, the (lower) median code for categorical
@@ -217,49 +208,4 @@ func representative(t *dataset.Table, rows []int, col int) float64 {
 		return vals[(len(vals)-1)/2]
 	}
 	return dataset.Mean(vals)
-}
-
-// AggregationOp selects the cluster representative used for numeric
-// quasi-identifiers in AggregateWith; categorical attributes always use the
-// median code.
-type AggregationOp int
-
-const (
-	// OpMean uses the arithmetic mean — the SSE-optimal operator for any
-	// fixed partition, and the paper's choice.
-	OpMean AggregationOp = iota
-	// OpMedian uses the lower median — more robust to outliers but
-	// SSE-suboptimal; provided for the aggregation-operator ablation.
-	OpMedian
-)
-
-// AggregateWith is Aggregate with an explicit numeric aggregation operator.
-func AggregateWith(t *dataset.Table, clusters []Cluster, op AggregationOp) (*dataset.Table, error) {
-	if err := CheckPartition(clusters, t.Len(), 1); err != nil {
-		return nil, err
-	}
-	out := t.Clone()
-	qis := t.Schema().QuasiIdentifiers()
-	for _, c := range clusters {
-		for _, col := range qis {
-			var rep float64
-			if op == OpMedian && t.Schema().Attr(col).Kind == dataset.Numeric {
-				vals := make([]float64, len(c.Rows))
-				for i, r := range c.Rows {
-					vals[i] = t.Value(r, col)
-				}
-				sort.Float64s(vals)
-				rep = vals[(len(vals)-1)/2]
-			} else {
-				rep = representative(t, c.Rows, col)
-			}
-			for _, r := range c.Rows {
-				out.SetValue(r, col, rep)
-			}
-		}
-	}
-	for _, col := range t.Schema().Indices(dataset.Identifier) {
-		out.Redact(col)
-	}
-	return out, nil
 }

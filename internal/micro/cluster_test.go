@@ -84,13 +84,6 @@ func TestCentroid(t *testing.T) {
 	}
 }
 
-func TestCentroidAll(t *testing.T) {
-	pts := [][]float64{{1}, {3}}
-	if c := CentroidAll(pts); c[0] != 2 {
-		t.Errorf("CentroidAll = %v", c)
-	}
-}
-
 func TestFarthestNearest(t *testing.T) {
 	m := NewMatrix([][]float64{{0}, {5}, {2}, {9}})
 	rows := []int{0, 1, 2, 3}

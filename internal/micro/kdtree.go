@@ -146,7 +146,7 @@ func kdNodeCount(s int, memo map[int]int32) int32 {
 // not by leaf order. The selection permutes int32 build ranks over a
 // build-order copy of the coordinates, gathered into tree order once at the
 // end. Subtrees of at least kdParallelMin items are built concurrently
-// under the MaxScanWorkers budget; every goroutine writes disjoint
+// under the matrix's worker budget; every goroutine writes disjoint
 // preallocated ranges, so the built tree is identical to a serial build.
 func NewKDTree(m *Matrix, rows []int) *KDTree {
 	n := len(rows)
@@ -194,7 +194,7 @@ func NewKDTree(m *Matrix, rows []int) *KDTree {
 	for i := 0; i < n; i++ {
 		b.rad2[i] = Dist2(t.pivot, b.pts[i*dim:(i+1)*dim])
 	}
-	if workers := m.workerBudget(); workers > 1 && n >= kdParallelMin {
+	if workers := m.Workers(); workers > 1 && n >= kdParallelMin {
 		b.tokens = make(chan struct{}, workers-1)
 	}
 	b.node(0, -1, 0, int32(n))

@@ -214,8 +214,7 @@ func TestKDTreeMatchesLinearReference(t *testing.T) {
 // so low-dimensional runs exercise the k-d stream and high-dimensional runs
 // the linear one.
 func TestStreamMatchesSortedOrder(t *testing.T) {
-	defer func(c, d, p int) { IndexCrossover, streamDrainAt, presortStreak = c, d, p }(
-		IndexCrossover, streamDrainAt, presortStreak)
+	defer func(d, p int) { streamDrainAt, presortStreak = d, p }(streamDrainAt, presortStreak)
 	// Force the drain escape hatch and the presort mode on small candidate
 	// sets: every full traversal below drains, and after two drained
 	// streams the third starts presorted.
@@ -228,12 +227,12 @@ func TestStreamMatchesSortedOrder(t *testing.T) {
 		for i := range rows {
 			rows[i] = i
 		}
-		if trial%2 == 0 {
-			IndexCrossover = 1 // force the tree
-		} else {
-			IndexCrossover = 1 << 30 // force the linear path
-		}
 		m := NewMatrix(pts)
+		if trial%2 == 0 {
+			m.SetTuning(Tuning{IndexCrossover: 1}) // force the tree
+		} else {
+			m.SetTuning(Tuning{IndexCrossover: 1 << 30}) // force the linear path
+		}
 		search := m.NewSearcher(rows)
 		ref := &kdRef{pts: pts, rows: rows}
 		for round := 0; round < 5 && len(rows) > 0; round++ {
@@ -266,18 +265,15 @@ func TestStreamMatchesSortedOrder(t *testing.T) {
 // geometries: the crossover is forced in both directions and the outputs
 // must be identical.
 func TestMDAVIndexMatchesScan(t *testing.T) {
-	defer func(c int) { IndexCrossover = c }(IndexCrossover)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		pts, n := kdTrialPoints(rng, trial)
 		k := 1 + rng.Intn(6)
-		IndexCrossover = 1 << 30
-		scan, err := MDAV(pts, k)
+		scan, err := MDAVMatrix(tunedMatrix(pts, Tuning{IndexCrossover: 1 << 30}), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		IndexCrossover = 1
-		indexed, err := MDAV(pts, k)
+		indexed, err := MDAVMatrix(tunedMatrix(pts, Tuning{IndexCrossover: 1}), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,27 +290,9 @@ func TestMDAVIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestVMDAVIndexMatchesScan pins the indexed V-MDAV partition to the linear
-// scan partition across random geometries, duplicated points, and gammas.
-func TestVMDAVIndexMatchesScan(t *testing.T) {
-	defer func(c int) { IndexCrossover = c }(IndexCrossover)
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		pts, n := kdTrialPoints(rng, trial)
-		k := 1 + rng.Intn(6)
-		gamma := rng.Float64()
-		IndexCrossover = 1 << 30
-		scan, err := VMDAV(pts, k, gamma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		IndexCrossover = 1
-		indexed, err := VMDAV(pts, k, gamma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(scan, indexed) {
-			t.Fatalf("trial %d (n=%d k=%d gamma=%v): V-MDAV index vs scan partitions diverge", trial, n, k, gamma)
-		}
-	}
+// tunedMatrix returns pts as a Matrix with the given tuning.
+func tunedMatrix(pts [][]float64, tun Tuning) *Matrix {
+	m := NewMatrix(pts)
+	m.SetTuning(tun)
+	return m
 }

@@ -18,23 +18,20 @@ type Matrix struct {
 	data []float64
 	n    int
 	dim  int
-	// tun holds engine-scoped tuning overrides; zero fields fall back to
-	// the deprecated package-level defaults, so legacy callers and tests
-	// that set the globals keep their behavior.
+	// tun holds engine-scoped tuning; zero fields take the package
+	// defaults (see Tuning).
 	tun Tuning
 	// cache, when enabled, shares one lazily built k-d tree across every
 	// Searcher over the full ascending row set (see IndexCache).
 	cache *IndexCache
 }
 
-// Tuning carries per-Matrix overrides of the package-level performance
-// knobs. The zero value defers every decision to the deprecated package
-// variables (MaxScanWorkers, IndexCrossover), so an untuned Matrix behaves
-// exactly as before; values < 1 also fall back to the defaults.
-//
-// Tuning a Matrix instead of writing the globals is what makes concurrent
-// anonymization runs race-free: the globals are process-wide mutable state,
-// while a Matrix's tuning is fixed before the matrix is shared.
+// Tuning carries a Matrix's performance settings. A zero field, or any
+// value < 1, takes the package default: GOMAXPROCS workers and a crossover
+// of defaultIndexCrossover rows. Both settings are pure performance knobs —
+// results are bit-identical for any value — and a Matrix's tuning is fixed
+// before the matrix is shared, so concurrent runs over differently tuned
+// matrices never race.
 type Tuning struct {
 	// Workers caps the goroutine fan-out of parallel distance scans and of
 	// the k-d tree build over this matrix.
@@ -107,36 +104,20 @@ func (m *Matrix) RowDist2(i int, p []float64) float64 {
 // of every partition run.
 const parallelScanMin = 8192
 
-// MaxScanWorkers caps the goroutine fan-out of the parallel distance scans
-// and of the k-d tree build for matrices without their own tuning. It
-// defaults to runtime.GOMAXPROCS(0) — the old hardcoded cap of 8 silently
-// throttled benchmark machines with more cores. Results are bit-identical
-// for any value (each worker owns a disjoint, deterministic chunk); set it
-// to 1 to force serial execution.
-//
-// Deprecated: writing this global from library code races with concurrent
-// anonymization runs. Prefer per-matrix configuration via Matrix.SetTuning
-// (engine callers: the WithWorkers option); the variable remains as the
-// process-wide default.
-var MaxScanWorkers = runtime.GOMAXPROCS(0)
+// defaultWorkers is the worker budget of a Matrix without its own
+// Workers setting. It is read once: runtime.GOMAXPROCS takes the
+// scheduler lock, and the budget is consulted on every scan.
+var defaultWorkers = runtime.GOMAXPROCS(0)
 
-// Workers returns the sanitized worker budget of this matrix (at least 1):
-// its own tuning when set, the package default otherwise. It is the fan-out
-// cap the partition loops share with the distance scans, so one engine
-// option (core.WithWorkers) tunes every parallel seam over the matrix.
-func (m *Matrix) Workers() int { return m.workerBudget() }
-
-// workerBudget returns the sanitized worker cap for this matrix: its own
-// tuning when set, the package default otherwise.
-func (m *Matrix) workerBudget() int {
-	w := m.tun.Workers
-	if w < 1 {
-		w = MaxScanWorkers
+// Workers returns the worker budget of this matrix (at least 1): its own
+// tuning when set, GOMAXPROCS otherwise. It is the fan-out cap the
+// partition loops share with the distance scans, so one engine option
+// (core.WithWorkers) tunes every parallel seam over the matrix.
+func (m *Matrix) Workers() int {
+	if w := m.tun.Workers; w >= 1 {
+		return w
 	}
-	if w < 1 {
-		return 1
-	}
-	return w
+	return defaultWorkers
 }
 
 // ScanWorkers returns the fan-out a row scan of the given size should use
@@ -148,7 +129,7 @@ func (m *Matrix) ScanWorkers(nRows int) int { return m.scanWorkers(nRows) }
 
 // scanWorkers returns the fan-out for a parallel scan over nRows.
 func (m *Matrix) scanWorkers(nRows int) int {
-	w := m.workerBudget()
+	w := m.Workers()
 	if nRows < parallelScanMin || w < 2 {
 		return 1
 	}

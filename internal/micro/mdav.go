@@ -23,10 +23,11 @@ import "context"
 // sort, and routes the Farthest/KNearest queries through a Searcher: a
 // deletable k-d tree over the normalized QI cube for large inputs
 // (subquadratic rounds at any dimensionality), the flat linear scan below
-// IndexCrossover. Extracted records are marked in a row-indexed bitmap; the
-// remaining-row slice is compacted only when a linear reader needs it
-// exact — an unindexed Searcher, the exact centroid of a small remainder,
-// the final cluster — so an indexed round costs no O(n) filtering pass.
+// the matrix's index crossover. Extracted records are marked in a
+// row-indexed bitmap; the remaining-row slice is compacted only when a
+// linear reader needs it exact — an unindexed Searcher, the exact centroid
+// of a small remainder, the final cluster — so an indexed round costs no
+// O(n) filtering pass.
 func MDAV(points [][]float64, k int) ([]Cluster, error) {
 	return MDAVMatrix(NewMatrix(points), k)
 }

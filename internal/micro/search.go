@@ -56,26 +56,21 @@ type Searcher struct {
 	radixCounts []int32
 }
 
-// IndexCrossover is the candidate-set size at or above which NewSearcher
-// builds the k-d tree index for matrices without their own tuning. Below it
-// the linear scans win: they are a single cache-friendly pass with no
-// per-query tree overhead, and the whole partition run stays comfortably
-// inside the quadratic regime. The value is a package variable so
-// benchmarks can tune it and tests can force either path; both paths
-// produce identical partitions.
-//
-// Deprecated: writing this global from library code races with concurrent
-// anonymization runs. Prefer per-matrix configuration via Matrix.SetTuning
-// (engine callers: the WithIndexCrossover option); the variable remains as
-// the process-wide default.
-var IndexCrossover = 2048
+// defaultIndexCrossover is the candidate-set size at or above which
+// NewSearcher builds the k-d tree index for matrices without their own
+// Tuning.IndexCrossover. Below it the linear scans win: they are a single
+// cache-friendly pass with no per-query tree overhead, and the whole
+// partition run stays comfortably inside the quadratic regime. Both paths
+// produce identical partitions; tests force either one through
+// Matrix.SetTuning.
+const defaultIndexCrossover = 2048
 
 // indexCrossover returns the effective crossover for this matrix.
 func (m *Matrix) indexCrossover() int {
 	if c := m.tun.IndexCrossover; c >= 1 {
 		return c
 	}
-	return IndexCrossover
+	return defaultIndexCrossover
 }
 
 // IndexCache shares one lazily built k-d tree master across Searchers. The

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Determinism across MaxScanWorkers values, including the parallel kd build.
+// Determinism across worker budgets, including the parallel kd build.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scan worker sweep: slow property test")
@@ -17,11 +17,9 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	defer func(w int) { MaxScanWorkers = w }(MaxScanWorkers)
 	var ref []Cluster
 	for _, w := range []int{1, 2, 8} {
-		MaxScanWorkers = w
-		got, err := MDAV(pts, 3)
+		got, err := MDAVMatrix(tunedMatrix(pts, Tuning{Workers: w}), 3)
 		if err != nil {
 			t.Fatal(err)
 		}

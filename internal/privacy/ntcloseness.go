@@ -82,16 +82,6 @@ func NTClosenessOf(t *dataset.Table, classes []micro.Cluster, nMin int) (float64
 	return worst, nil
 }
 
-// IsNTClose reports whether the partition satisfies (nMin, t)-closeness at
-// level tLevel.
-func IsNTClose(t *dataset.Table, classes []micro.Cluster, nMin int, tLevel float64) (bool, error) {
-	level, err := NTClosenessOf(t, classes, nMin)
-	if err != nil {
-		return false, err
-	}
-	return level <= tLevel, nil
-}
-
 // qiNeighborhood returns the nMin rows nearest to the class centroid,
 // guaranteeing that every class member is included (swapping out the
 // farthest non-members if needed).

@@ -49,14 +49,6 @@ func TestNTClosenessRelaxesT(t *testing.T) {
 	if nt > tc+1e-9 {
 		t.Errorf("(50,t) level %v exceeds plain t level %v on correlated data", nt, tc)
 	}
-	ok, err := IsNTClose(tbl, clusters, 50, nt+1e-9)
-	if err != nil || !ok {
-		t.Errorf("IsNTClose at its own level = %v, %v", ok, err)
-	}
-	ok, _ = IsNTClose(tbl, clusters, 50, nt/2)
-	if nt > 0 && ok {
-		t.Error("IsNTClose below the level should be false")
-	}
 }
 
 func TestNTClosenessValidation(t *testing.T) {
@@ -81,7 +73,11 @@ func TestNTClosenessOfTCloseOutput(t *testing.T) {
 	// neighborhood distribution is itself close to global for spread
 	// clusters).
 	tbl := synth.CensusMCD()
-	res, err := tclose.Algorithm3(tbl, 5, 0.13)
+	prep, err := tclose.Prepare(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Algorithm3(tclose.Run{}, 5, 0.13)
 	if err != nil {
 		t.Fatal(err)
 	}

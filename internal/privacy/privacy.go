@@ -1,9 +1,9 @@
 // Package privacy implements verifiers for the syntactic privacy models
-// discussed in the paper: k-anonymity, t-closeness, l-diversity and
-// p-sensitive k-anonymity. The verifiers operate on an anonymized table (or
-// on an explicit cluster partition of the original table) and are used by
-// the test suite to check, independently of the anonymization algorithms,
-// that their outputs deliver the promised guarantees.
+// discussed in the paper: k-anonymity, t-closeness (and its relaxed
+// (n,t)-closeness) and l-diversity. The verifiers operate on an anonymized
+// table (or on an explicit cluster partition of the original table) and
+// are used by the test suite to check, independently of the anonymization
+// algorithms, that their outputs deliver the promised guarantees.
 package privacy
 
 import (
@@ -76,15 +76,6 @@ func KAnonymity(t *dataset.Table) (int, error) {
 	return micro.Sizes(classes).Min, nil
 }
 
-// IsKAnonymous reports whether the table satisfies k-anonymity.
-func IsKAnonymous(t *dataset.Table, k int) (bool, error) {
-	level, err := KAnonymity(t)
-	if err != nil {
-		return false, err
-	}
-	return level >= k, nil
-}
-
 // TCloseness returns the t-closeness level of the table: the maximum, over
 // all equivalence classes and all confidential attributes, of the Earth
 // Mover's Distance (ordered distance) between the class distribution and the
@@ -128,15 +119,6 @@ func TClosenessOf(t *dataset.Table, classes []micro.Cluster) (float64, error) {
 	return worst, nil
 }
 
-// IsTClose reports whether the table satisfies t-closeness at level tLevel.
-func IsTClose(t *dataset.Table, tLevel float64) (bool, error) {
-	level, err := TCloseness(t)
-	if err != nil {
-		return false, err
-	}
-	return level <= tLevel, nil
-}
-
 // LDiversity returns the distinct l-diversity level of the table: the
 // minimum, over equivalence classes and confidential attributes, of the
 // number of distinct confidential values in the class.
@@ -172,34 +154,6 @@ func LDiversityOf(t *dataset.Table, classes []micro.Cluster) (int, error) {
 		return 0, ErrNoRecords
 	}
 	return best, nil
-}
-
-// PSensitive reports whether the table satisfies p-sensitive k-anonymity:
-// it is k-anonymous and every equivalence class contains at least p distinct
-// values of every confidential attribute.
-func PSensitive(t *dataset.Table, k, p int) (bool, error) {
-	ok, err := IsKAnonymous(t, k)
-	if err != nil || !ok {
-		return false, err
-	}
-	classes, err := EquivalenceClasses(t)
-	if err != nil {
-		return false, err
-	}
-	confs := t.Schema().Confidentials()
-	for _, col := range confs {
-		vals := t.ColumnView(col)
-		for _, c := range classes {
-			distinct := make(map[float64]struct{}, len(c.Rows))
-			for _, r := range c.Rows {
-				distinct[vals[r]] = struct{}{}
-			}
-			if len(distinct) < p {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // Report is a one-stop summary of the privacy level of an anonymized table.

@@ -76,14 +76,6 @@ func TestKAnonymity(t *testing.T) {
 	if k != 3 {
 		t.Errorf("KAnonymity = %d, want 3", k)
 	}
-	ok, err := IsKAnonymous(tbl, 3)
-	if err != nil || !ok {
-		t.Errorf("IsKAnonymous(3) = %v, %v", ok, err)
-	}
-	ok, _ = IsKAnonymous(tbl, 4)
-	if ok {
-		t.Error("IsKAnonymous(4) should be false")
-	}
 }
 
 func TestKAnonymityBrokenBySingleton(t *testing.T) {
@@ -112,16 +104,6 @@ func TestTCloseness(t *testing.T) {
 	// cum: 1/6, 2/6, 3/6, 2/6, 1/6 -> sum 9/6, /(m-1)=5 -> 0.3.
 	if math.Abs(tc-0.3) > 1e-12 {
 		t.Errorf("TCloseness = %v, want 0.3", tc)
-	}
-	// IsTClose compares exactly; use thresholds clear of the float error of
-	// the 0.3 result.
-	ok, err := IsTClose(tbl, 0.31)
-	if err != nil || !ok {
-		t.Errorf("IsTClose(0.31) = %v, %v", ok, err)
-	}
-	ok, _ = IsTClose(tbl, 0.29)
-	if ok {
-		t.Error("IsTClose(0.29) should be false")
 	}
 }
 
@@ -154,22 +136,6 @@ func TestLDiversity(t *testing.T) {
 	l, _ = LDiversity(tbl)
 	if l != 1 {
 		t.Errorf("LDiversity after collapse = %d, want 1", l)
-	}
-}
-
-func TestPSensitive(t *testing.T) {
-	tbl := anonFixture(t)
-	ok, err := PSensitive(tbl, 3, 3)
-	if err != nil || !ok {
-		t.Errorf("PSensitive(3,3) = %v, %v", ok, err)
-	}
-	ok, _ = PSensitive(tbl, 3, 4)
-	if ok {
-		t.Error("PSensitive(3,4) should fail: only 3 distinct values per class")
-	}
-	ok, _ = PSensitive(tbl, 4, 2)
-	if ok {
-		t.Error("PSensitive(4,2) should fail: classes have 3 records")
 	}
 }
 

@@ -111,48 +111,3 @@ func DistanceLinkage(original, anonymized *dataset.Table) (LinkageResult, error)
 	}
 	return res, nil
 }
-
-// IntervalRisk computes the rank-interval disclosure measure used alongside
-// linkage in the SDC literature: the proportion of original records whose
-// anonymized quasi-identifier values all fall within +-p percent of the
-// attribute range around the original values — records an intruder could
-// confirm with approximate background knowledge.
-func IntervalRisk(original, anonymized *dataset.Table, p float64) (float64, error) {
-	if original.Len() != anonymized.Len() {
-		return 0, fmt.Errorf("risk: table sizes differ: %d vs %d",
-			original.Len(), anonymized.Len())
-	}
-	if original.Len() == 0 {
-		return 0, errors.New("risk: no records")
-	}
-	if p <= 0 || p >= 1 {
-		return 0, errors.New("risk: p must be in (0, 1)")
-	}
-	qis := original.Schema().QuasiIdentifiers()
-	if len(qis) == 0 {
-		return 0, errors.New("risk: no quasi-identifiers")
-	}
-	tol := make([]float64, len(qis))
-	for j, c := range qis {
-		st := original.Stats(c)
-		tol[j] = p * (st.Max - st.Min)
-	}
-	hits := 0
-	for r := 0; r < original.Len(); r++ {
-		within := true
-		for j, c := range qis {
-			d := original.Value(r, c) - anonymized.Value(r, c)
-			if d < 0 {
-				d = -d
-			}
-			if d > tol[j] {
-				within = false
-				break
-			}
-		}
-		if within {
-			hits++
-		}
-	}
-	return float64(hits) / float64(original.Len()), nil
-}

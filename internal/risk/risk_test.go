@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,12 +30,9 @@ func TestDistanceLinkageKAnonymousRelease(t *testing.T) {
 	// its cluster, so the tie-broken credit is exactly 1/size(cluster).
 	tbl := synth.Census(300, synth.FedTax, 5)
 	for _, k := range []int{2, 5, 10} {
-		res, err := core.Anonymize(tbl, core.Config{
+		res := release(t, tbl, core.Spec{
 			Algorithm: core.TClosenessFirst, K: k, T: 0.2, SkipAssessment: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		link, err := DistanceLinkage(tbl, res.Anonymized)
 		if err != nil {
 			t.Fatal(err)
@@ -54,12 +52,9 @@ func TestDistanceLinkageRiskBoundedByK(t *testing.T) {
 	// ceiling), so assert the ceilings rather than strict monotonicity.
 	tbl := synth.Census(300, synth.FedTax, 9)
 	for _, k := range []int{2, 5, 15} {
-		res, err := core.Anonymize(tbl, core.Config{
+		res := release(t, tbl, core.Spec{
 			Algorithm: core.TClosenessFirst, K: k, T: 0.25, SkipAssessment: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		link, err := DistanceLinkage(tbl, res.Anonymized)
 		if err != nil {
 			t.Fatal(err)
@@ -100,52 +95,15 @@ func TestDistanceLinkageValidation(t *testing.T) {
 	}
 }
 
-func TestIntervalRisk(t *testing.T) {
-	tbl := synth.Uniform(40, 2, 7)
-	// Identity release: every record within any tolerance.
-	r, err := IntervalRisk(tbl, tbl, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 1 {
-		t.Errorf("identity interval risk = %v, want 1", r)
-	}
-	// Heavy perturbation drives the risk down.
-	anon := tbl.Clone()
-	for i := 0; i < anon.Len(); i++ {
-		anon.SetValue(i, 0, anon.Value(i, 0)+10)
-	}
-	r, err = IntervalRisk(tbl, anon, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("perturbed interval risk = %v, want 0", r)
-	}
-}
-
-func TestIntervalRiskValidation(t *testing.T) {
-	tbl := synth.Uniform(10, 2, 9)
-	if _, err := IntervalRisk(tbl, tbl, 0); err == nil {
-		t.Error("p = 0 should fail")
-	}
-	if _, err := IntervalRisk(tbl, tbl, 1); err == nil {
-		t.Error("p = 1 should fail")
-	}
-}
-
 func TestAnatomyReleaseHasFullLinkage(t *testing.T) {
 	// The QI-preserving permutation release keeps the original QI values,
 	// so record linkage trivially succeeds — the point is that the linked
 	// record's confidential value is no longer the subject's. This test
 	// documents that property so adopters are not surprised.
 	tbl := synth.Census(200, synth.FedTax, 13)
-	res, err := core.Anonymize(tbl, core.Config{
+	res := release(t, tbl, core.Spec{
 		Algorithm: core.TClosenessFirst, K: 5, T: 0.2, SkipAssessment: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	anon, err := micro.AnatomyRelease(tbl, res.Clusters, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -157,4 +115,18 @@ func TestAnatomyReleaseHasFullLinkage(t *testing.T) {
 	if link.Rate() < 0.99 {
 		t.Errorf("anatomy linkage rate = %v, want ~1 (QIs unchanged)", link.Rate())
 	}
+}
+
+// release runs spec on a fresh engine over tbl.
+func release(t *testing.T, tbl *dataset.Table, spec core.Spec) *core.Result {
+	t.Helper()
+	eng, err := core.NewEngine(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -84,16 +84,11 @@ type Env struct {
 	Order []int
 }
 
-// Anonymize partitions the table into k-anonymous equivalence classes aimed
-// at t-closeness level tLevel using SABRE-style bucketization and
-// redistribution.
-func Anonymize(t *dataset.Table, k int, tLevel float64) (*Result, error) {
-	return AnonymizeCtx(context.Background(), t, k, tLevel, nil)
-}
-
-// AnonymizeCtx is Anonymize with cooperative cancellation — checked once
-// per equivalence class, so an abandoned run stops within one class build —
-// and an optional prepared environment.
+// AnonymizeCtx partitions the table into k-anonymous equivalence classes
+// aimed at t-closeness level tLevel using SABRE-style bucketization and
+// redistribution. Cancellation is checked once per equivalence class, so an
+// abandoned run stops within one class build; env optionally supplies
+// prepared substrate.
 func AnonymizeCtx(ctx context.Context, t *dataset.Table, k int, tLevel float64, env *Env) (*Result, error) {
 	if t == nil || t.Len() == 0 {
 		return nil, errors.New("sabre: data set has no records")

@@ -1,6 +1,7 @@
 package sabre
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -11,16 +12,16 @@ import (
 
 func TestAnonymizeValidation(t *testing.T) {
 	tbl := synth.Uniform(30, 2, 1)
-	if _, err := Anonymize(nil, 2, 0.1); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), nil, 2, 0.1, nil); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := Anonymize(tbl, 0, 0.1); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tbl, 0, 0.1, nil); err == nil {
 		t.Error("k = 0 should fail")
 	}
-	if _, err := Anonymize(tbl, 2, 0); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tbl, 2, 0, nil); err == nil {
 		t.Error("t = 0 should fail")
 	}
-	if _, err := Anonymize(tbl, 2, 2); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tbl, 2, 2, nil); err == nil {
 		t.Error("t > 1 should fail")
 	}
 }
@@ -29,7 +30,7 @@ func TestAnonymizePartitionValid(t *testing.T) {
 	for _, n := range []int{20, 100, 333} {
 		tbl := synth.Uniform(n, 2, int64(n))
 		for _, tl := range []float64{0.05, 0.15, 0.3} {
-			res, err := Anonymize(tbl, 3, tl)
+			res, err := AnonymizeCtx(context.Background(), tbl, 3, tl, nil)
 			if err != nil {
 				t.Fatalf("n=%d t=%v: %v", n, tl, err)
 			}
@@ -44,14 +45,14 @@ func TestAnonymizeMeetsTOnEvaluationData(t *testing.T) {
 	// The bucketization bound is conservative, so the achieved EMD should
 	// meet the requested t on the evaluation data sets.
 	for _, tl := range []float64{0.09, 0.13, 0.21} {
-		res, err := Anonymize(synth.CensusMCD(), 5, tl)
+		res, err := AnonymizeCtx(context.Background(), synth.CensusMCD(), 5, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.MaxEMD > tl+1e-9 {
 			t.Errorf("MCD t=%v: achieved EMD %v", tl, res.MaxEMD)
 		}
-		res, err = Anonymize(synth.CensusHCD(), 5, tl)
+		res, err = AnonymizeCtx(context.Background(), synth.CensusHCD(), 5, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestGreedyBucketsVsAnalyticMinimum(t *testing.T) {
 	tbl := synth.CensusMCD()
 	n := tbl.Len()
 	for _, tl := range []float64{0.05, 0.09, 0.13, 0.21} {
-		res, err := Anonymize(tbl, 2, tl)
+		res, err := AnonymizeCtx(context.Background(), tbl, 2, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,7 +231,7 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 		if j.spec.Sharded {
 			s.metrics.shardedRuns.Add(1)
 		}
-		if !j.noCache && j.spec.Partitioner == nil {
+		if !j.noCache {
 			s.cache.put(s.cacheKeyOf(j.ds.name, j.epoch, j.spec), res)
 		}
 	case errors.Is(err, context.DeadlineExceeded):

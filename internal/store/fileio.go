@@ -13,11 +13,13 @@ import (
 	"repro/internal/dataset"
 )
 
-// replayHooks receive committed content during a file replay. Either hook
-// may be nil; chunk sees snapshot and append chunks in commit order, tomb
-// sees each deletion epoch's removed row ids (in the numbering of the
-// epoch it was committed against, ascending, unique).
+// replayHooks receive committed content during a file replay. Any hook
+// may be nil; begin fires once the schema block is decoded, with the row
+// count after the last commit, chunk sees snapshot and append chunks in
+// commit order, tomb sees each deletion epoch's removed row ids (in the
+// numbering of the epoch it was committed against, ascending, unique).
 type replayHooks struct {
+	begin func(schema *dataset.Schema, rows int) error
 	chunk func(ch ColumnChunk) error
 	tomb  func(rowIDs []int) error
 }
@@ -27,13 +29,15 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// readBlock reads one block from r; remain is how many bytes the file
-// still holds, so a length field claiming more than the file can contain
-// fails as a truncated block before allocating anything. It returns
-// io.EOF at a clean block boundary, io.ErrUnexpectedEOF when the file
-// ends mid-block, and ErrCorrupt on a checksum mismatch or impossible
-// length.
-func readBlock(r *bufio.Reader, remain int64) (kind byte, payload []byte, size int64, err error) {
+// readBlock reads one block from r into *buf, growing it when the payload
+// does not fit, and returns the payload as a slice of it: the next call
+// overwrites it, so callers copy whatever they keep. remain is how many
+// bytes the file still holds, so a length field claiming more than the
+// file can contain fails as a truncated block before allocating anything.
+// It returns io.EOF at a clean block boundary, io.ErrUnexpectedEOF when
+// the file ends mid-block, and ErrCorrupt on a checksum mismatch or
+// impossible length.
+func readBlock(r *bufio.Reader, remain int64, buf *[]byte) (kind byte, payload []byte, size int64, err error) {
 	kind, err = r.ReadByte()
 	if err == io.EOF {
 		return 0, nil, 0, io.EOF
@@ -52,7 +56,10 @@ func readBlock(r *bufio.Reader, remain int64) (kind byte, payload []byte, size i
 	if int64(n) > remain-(1+4+4) {
 		return 0, nil, 0, io.ErrUnexpectedEOF
 	}
-	payload = make([]byte, n)
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
+	}
+	payload = (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, io.ErrUnexpectedEOF
 	}
@@ -68,37 +75,64 @@ func readBlock(r *bufio.Reader, remain int64) (kind byte, payload []byte, size i
 	return kind, payload, int64(1) + 4 + int64(n) + 4, nil
 }
 
+// committed describes the committed region of a dataset file, as
+// scanValid finds it.
+type committed struct {
+	// end is the end offset of the last commit block.
+	end int64
+	// rows is the total row count the last commit declares, capped at
+	// what the committed segments can hold — the replay checks the
+	// declared count only when it reaches that commit, and Begin hands
+	// rows on as a preallocation hint.
+	rows int
+}
+
 // scanValid walks the whole file verifying framing and checksums, and
-// returns the end offset of the last commit block — the committed region
-// replayCommitted is allowed to decode. A torn tail (truncation after at
-// least one commit) is tolerated per the crash-safety contract; a file
-// with no commit at all is ErrTruncated; a checksum mismatch anywhere is
-// ErrCorrupt.
-func scanValid(r io.Reader, fileSize int64) (int64, error) {
+// returns the committed region replayCommitted is allowed to decode. A
+// torn tail (truncation after at least one commit) is tolerated per the
+// crash-safety contract; a file with no commit at all is ErrTruncated; a
+// checksum mismatch anywhere is ErrCorrupt.
+func scanValid(r io.Reader, fileSize int64) (committed, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [len(magic)]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("%w: missing header", ErrTruncated)
+		return committed{}, fmt.Errorf("%w: missing header", ErrTruncated)
 	}
 	if string(m[:]) != magic {
-		return 0, corruptf("bad magic %q", m[:])
+		return committed{}, corruptf("bad magic %q", m[:])
 	}
 	off := int64(len(magic))
-	lastCommitEnd := int64(0)
+	var (
+		last   committed
+		width  uint64 // attribute count of the schema block
+		values uint64 // segment values so far, an upper bound on rows·width
+		buf    []byte
+	)
 	for {
-		kind, _, size, err := readBlock(br, fileSize-off)
+		kind, payload, size, err := readBlock(br, fileSize-off, &buf)
 		switch {
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			if lastCommitEnd == 0 {
-				return 0, ErrTruncated
+			if last.end == 0 {
+				return committed{}, ErrTruncated
 			}
-			return lastCommitEnd, nil
+			return last, nil
 		case err != nil:
-			return 0, err
+			return committed{}, err
 		}
 		off += size
-		if kind == kindCommit {
-			lastCommitEnd = off
+		pr := payloadReader{b: payload}
+		switch kind {
+		case kindSchema:
+			width = uint64(pr.u32())
+		case kindSegment:
+			values += uint64(len(payload)) / 8
+		case kindCommit:
+			pr.u8()
+			pr.u32()
+			last.end, last.rows = off, 0
+			if width > 0 {
+				last.rows = int(min(pr.u64(), values/width))
+			}
 		}
 	}
 }
@@ -108,8 +142,9 @@ func scanValid(r io.Reader, fileSize int64) (int64, error) {
 // the hooks.
 type replayState struct {
 	fileState
-	hooks   replayHooks
-	commits int // commit blocks decoded so far (snapshot included)
+	hooks     replayHooks
+	beginRows int // row count handed to hooks.begin
+	commits   int // commit blocks decoded so far (snapshot included)
 
 	// staging for the epoch under assembly.
 	pendingDict [][]string
@@ -153,6 +188,9 @@ func (rs *replayState) onSchema(p []byte) error {
 	}
 	rs.schema = schema
 	rs.dictLens = make([]int, schema.Len())
+	if rs.hooks.begin != nil {
+		return rs.hooks.begin(schema, rs.beginRows)
+	}
 	return nil
 }
 
@@ -319,8 +357,9 @@ func (rs *replayState) onCommit(p []byte) error {
 	return nil
 }
 
-// load opens and replays the committed region of a dataset file,
-// returning freshly rebuilt write-side state.
+// load opens a dataset file, finds its committed region and replays it
+// through hooks, returning freshly rebuilt write-side state: one scan and
+// one replay. The scan runs first, so a torn tail never reaches a hook.
 func (b *FileBackend) load(name string, hooks replayHooks) (*fileState, error) {
 	path := b.path(name)
 	f, err := os.Open(path)
@@ -335,31 +374,34 @@ func (b *FileBackend) load(name string, hooks replayHooks) (*fileState, error) {
 	if err != nil {
 		return nil, err
 	}
-	validEnd, err := scanValid(f, fi.Size())
+	region, err := scanValid(f, fi.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	st, err := replayCommitted(f, validEnd, hooks)
+	st, err := replayCommitted(f, region, hooks)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, nil
 }
 
-// replayCommitted decodes exactly the committed region [0, validEnd) of
-// src, which scanValid has already checksum-verified.
-func replayCommitted(src io.Reader, validEnd int64, hooks replayHooks) (*fileState, error) {
+// replayCommitted decodes exactly the committed region of src, which
+// scanValid has already checksum-verified.
+func replayCommitted(src io.Reader, region committed, hooks replayHooks) (*fileState, error) {
 	br := bufio.NewReaderSize(src, 1<<16)
-	if _, err := io.ReadFull(br, make([]byte, len(magic))); err != nil {
+	var m [len(magic)]byte
+	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}
-	rs := &replayState{hooks: hooks}
+	rs := &replayState{hooks: hooks, beginRows: region.rows}
+	validEnd := region.end
 	off := int64(len(magic))
+	var buf []byte
 	for off < validEnd {
-		kind, payload, size, err := readBlock(br, validEnd-off)
+		kind, payload, size, err := readBlock(br, validEnd-off, &buf)
 		if err != nil {
 			return nil, corruptf("committed region unreadable at offset %d: %v", off, err)
 		}

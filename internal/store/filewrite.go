@@ -16,6 +16,21 @@ import (
 // poisoned by a failed write (schema cleared) is transparently reloaded,
 // so the cache always mirrors what is durably on disk.
 func (b *FileBackend) lockState(name string) (*fileState, error) {
+	st := b.lockEntry(name)
+	if st.schema == nil {
+		fresh, err := b.load(name, replayHooks{})
+		if err != nil {
+			b.dropEntry(name, st)
+			return nil, err
+		}
+		st.fill(fresh)
+	}
+	return st, nil
+}
+
+// lockEntry returns the dataset's state entry, creating an empty one,
+// with its mutex held.
+func (b *FileBackend) lockEntry(name string) *fileState {
 	b.mu.Lock()
 	st, ok := b.states[name]
 	if !ok {
@@ -24,45 +39,50 @@ func (b *FileBackend) lockState(name string) (*fileState, error) {
 	}
 	b.mu.Unlock()
 	st.mu.Lock()
-	if st.schema == nil {
-		fresh, err := b.load(name, replayHooks{})
-		if err != nil {
-			st.mu.Unlock()
-			b.mu.Lock()
-			if b.states[name] == st {
-				delete(b.states, name)
-			}
-			b.mu.Unlock()
-			return nil, err
-		}
-		st.schema = fresh.schema
-		st.rows = fresh.rows
-		st.epoch = fresh.epoch
-		st.epochs = fresh.epochs
-		st.dictLens = fresh.dictLens
-		st.rolling = fresh.rolling
-	}
-	return st, nil
+	return st
 }
 
-// Stream implements Backend. The replay is necessarily a second pass
-// over the file (scanValid must find the last commit first so torn tails
-// never reach the handler), but it decodes one chunk at a time — nothing
-// beyond the current chunk is resident.
+// dropEntry unlocks an entry that failed to load and forgets it, so a
+// name that does not decode leaves nothing cached.
+func (b *FileBackend) dropEntry(name string, st *fileState) {
+	st.mu.Unlock()
+	b.mu.Lock()
+	if b.states[name] == st {
+		delete(b.states, name)
+	}
+	b.mu.Unlock()
+}
+
+// fill copies freshly decoded state into the cached entry.
+func (st *fileState) fill(fresh *fileState) {
+	st.schema = fresh.schema
+	st.rows = fresh.rows
+	st.epoch = fresh.epoch
+	st.epochs = fresh.epochs
+	st.dictLens = fresh.dictLens
+	st.rolling = fresh.rolling
+}
+
+// Stream implements Backend with one scan and one replay of the file: the
+// scan finds the committed region and its final row count, and the replay
+// fires Begin when it decodes the schema block, then feeds the chunks and
+// tombstones to the handler one at a time — nothing beyond the current
+// chunk is resident. A backend that has not cached the dataset's
+// write-side state fills it from the same replay.
 func (b *FileBackend) Stream(name string, h StreamHandler) ([]Epoch, error) {
-	st, err := b.lockState(name)
+	st := b.lockEntry(name)
+	fresh, err := b.load(name, replayHooks{begin: h.Begin, chunk: h.Chunk, tomb: h.Tombstone})
 	if err != nil {
+		if st.schema == nil {
+			b.dropEntry(name, st)
+		} else {
+			st.mu.Unlock()
+		}
 		return nil, err
 	}
 	defer st.mu.Unlock()
-	if h.Begin != nil {
-		if err := h.Begin(st.schema, st.rows); err != nil {
-			return nil, err
-		}
-	}
-	fresh, err := b.load(name, replayHooks{chunk: h.Chunk, tomb: h.Tombstone})
-	if err != nil {
-		return nil, err
+	if st.schema == nil {
+		st.fill(fresh)
 	}
 	return fresh.epochs, nil
 }

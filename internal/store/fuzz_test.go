@@ -67,24 +67,16 @@ func zeroChunkFileBytes(t testing.TB) []byte {
 }
 
 // decodeBytes decodes an in-memory file image the way FileBackend.Stream
-// serves Load: a validating pass yields the schema and row count Begin
-// receives, then the committed region replays through Load's handler,
-// chunks and tombstones alike.
+// serves Load: the scan finds the committed region and its row count, then
+// one replay feeds Load's handler — Begin, chunks and tombstones alike.
 func decodeBytes(data []byte) error {
-	end, err := scanValid(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return err
-	}
-	st, err := replayCommitted(bytes.NewReader(data), end, replayHooks{})
+	region, err := scanValid(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}
 	var l loader
 	h := l.handler()
-	if err := h.Begin(st.schema, st.rows); err != nil {
-		return err
-	}
-	_, err = replayCommitted(bytes.NewReader(data), end, replayHooks{chunk: h.Chunk, tomb: h.Tombstone})
+	_, err = replayCommitted(bytes.NewReader(data), region, replayHooks{begin: h.Begin, chunk: h.Chunk, tomb: h.Tombstone})
 	return err
 }
 

@@ -78,7 +78,10 @@ type SnapshotWriter interface {
 // Chunk fires for every snapshot and append-epoch chunk, Tombstone for
 // every deletion epoch, interleaved exactly as committed; tombstone row
 // ids are in the numbering of the epoch they were committed against,
-// ascending and unique. Handlers own the chunk slices they receive.
+// ascending and unique. Handlers own the chunk slices they receive. When
+// Stream returns an error the handler may already have seen part of the
+// history (corruption is found as the replay reaches it), so it must
+// discard what it built.
 type StreamHandler struct {
 	Begin     func(schema *dataset.Schema, rows int) error
 	Chunk     func(ch ColumnChunk) error

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 // Stream must replay the committed history — the snapshot chunk, then
@@ -216,5 +218,41 @@ func TestListSurfacesStrayFiles(t *testing.T) {
 	}
 	if _, err := b.List(); err != nil {
 		t.Fatalf("List after cleanup: %v", err)
+	}
+}
+
+// TestStreamAllocatesOnce pins the cost of FileBackend.Stream: one scan
+// and one replay, each reading blocks into one reused buffer, so a Stream
+// with an empty handler allocates little beyond the decoded column values
+// themselves — on a fresh backend, whose write-side state the same replay
+// fills, and again once that state is cached.
+func TestStreamAllocatesOnce(t *testing.T) {
+	tbl := synth.PatientDischarge(100000, synth.DefaultSeed)
+	dir := t.TempDir()
+	w, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(w, "pd", tbl); err != nil {
+		t.Fatal(err)
+	}
+	colBytes := float64(tbl.Len() * tbl.Width() * 8)
+	b, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"fresh", "cached"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := b.Stream("pd", StreamHandler{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / colBytes; ratio > 1.25 {
+			t.Errorf("%s backend: Stream allocated %.2fx the %.1f MB of column values, want <= 1.25x",
+				pass, ratio, colBytes/1e6)
+		}
 	}
 }

@@ -166,12 +166,6 @@ func PatientDischarge(n int, seed int64) *dataset.Table {
 	return t
 }
 
-// PatientDischargeFull returns the full-size 23,435-record data set with the
-// default seed.
-func PatientDischargeFull() *dataset.Table {
-	return PatientDischarge(PatientDischargeSize, DefaultSeed)
-}
-
 func severityLevel(z float64) float64 {
 	switch {
 	case z < -1.0:

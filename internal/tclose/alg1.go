@@ -8,52 +8,29 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/dataset"
 	"repro/internal/micro"
 	"repro/internal/par"
 )
 
-// Algorithm1 implements the paper's Algorithm 1: t-closeness through
-// microaggregation and merging of microaggregated groups of records.
+// Algorithm1 runs the paper's Algorithm 1 against the prepared substrate:
+// t-closeness through microaggregation and merging of microaggregated
+// groups of records.
 //
-// The partitioner (MDAV when nil) first produces a k-anonymous partition of
-// the quasi-identifiers. Then, while some cluster is farther than t (in
-// Earth Mover's Distance of the confidential attribute distribution) from
-// the whole data set, the cluster with the greatest EMD is merged with the
-// cluster closest to it in terms of quasi-identifiers. In the worst case all
-// clusters merge into one, whose EMD is zero, so the algorithm always
-// terminates with a t-close partition. Cost: the partitioner's cost plus
-// O((n/k)^2) for merging — O(n^2/k) overall with MDAV.
-func Algorithm1(t *dataset.Table, k int, tLevel float64, part Partitioner) (*Result, error) {
-	return Algorithm1Policy(t, k, tLevel, part, MergeNearestQI)
-}
-
-// Algorithm1 runs the paper's Algorithm 1 against the prepared substrate;
-// see the package-level Algorithm1. With a nil partitioner the default MDAV
-// partition is cached per k, so a t sweep at fixed k pays for it once.
-func (prep *Prepared) Algorithm1(run Run, k int, tLevel float64, part Partitioner) (*Result, error) {
-	return prep.Algorithm1Policy(run, k, tLevel, part, MergeNearestQI)
-}
-
-// Algorithm1Policy is Prepared.Algorithm1 with an explicit merge-partner
-// policy.
-func (prep *Prepared) Algorithm1Policy(run Run, k int, tLevel float64, part Partitioner, policy MergePolicy) (*Result, error) {
+// MDAV first produces a k-anonymous partition of the quasi-identifiers.
+// Then, while some cluster is farther than t (in Earth Mover's Distance of
+// the confidential attribute distribution) from the whole data set, the
+// cluster with the greatest EMD is merged with the cluster closest to it in
+// terms of quasi-identifiers. In the worst case all clusters merge into
+// one, whose EMD is zero, so the algorithm always terminates with a t-close
+// partition. Cost: MDAV's cost plus O((n/k)^2) for merging — O(n^2/k)
+// overall. The MDAV partition is cached per k, so a t sweep at fixed k pays
+// for it once.
+func (prep *Prepared) Algorithm1(run Run, k int, tLevel float64) (*Result, error) {
 	p, err := prep.newRun(run, k, tLevel)
 	if err != nil {
 		return nil, err
 	}
-	var clusters []micro.Cluster
-	if part == nil {
-		clusters, err = prep.defaultPartition(p.run.Ctx, k)
-	} else {
-		// Custom partitioners get a private copy of the normalized points:
-		// the substrate slices are shared across every run of the Prepared,
-		// and the Partitioner contract does not require read-only use. A
-		// custom partitioner cannot be cancelled mid-flight (its signature
-		// carries no context); the run aborts at the next check after it
-		// returns.
-		clusters, err = part(prep.pointsCopy(), p.k)
-	}
+	clusters, err := prep.defaultPartition(p.run.Ctx, k)
 	if err != nil {
 		if ctxErr := p.interrupted(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return nil, ctxErr
@@ -63,7 +40,7 @@ func (prep *Prepared) Algorithm1Policy(run Run, k int, tLevel float64, part Part
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	merged, merges, maxEMD, err := p.mergeUntilTClosePolicy(clusters, policy)
+	merged, merges, maxEMD, err := p.mergeUntilTClose(clusters)
 	if err != nil {
 		return nil, err
 	}
@@ -98,30 +75,6 @@ func (prep *Prepared) defaultPartition(ctx context.Context, k int) ([]micro.Clus
 	prep.mdavByK[k] = clusters
 	prep.cacheMu.Unlock()
 	return clusters, nil
-}
-
-// MergePolicy selects how Algorithm 1 chooses the partner of the
-// worst-EMD cluster in each merge step.
-type MergePolicy int
-
-const (
-	// MergeNearestQI merges with the cluster whose quasi-identifier
-	// centroid is nearest — the paper's policy, which protects utility.
-	MergeNearestQI MergePolicy = iota
-	// MergeGreedyEMD merges with the cluster that minimizes the EMD of the
-	// merged cluster, ignoring quasi-identifier proximity. It converges in
-	// fewer merges but damages QI homogeneity; it exists for the ablation
-	// benchmark quantifying the value of the paper's choice.
-	MergeGreedyEMD
-)
-
-// Algorithm1Policy is Algorithm1 with an explicit merge-partner policy.
-func Algorithm1Policy(t *dataset.Table, k int, tLevel float64, part Partitioner, policy MergePolicy) (*Result, error) {
-	prep, err := prepareOneShot(t, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Algorithm1Policy(Run{}, k, tLevel, part, policy)
 }
 
 // mergeState caches, for each live cluster, its histogram set, EMD, and QI
@@ -220,10 +173,6 @@ func (st *mergeState) popWorst() (int, float64) {
 // merge, so an abandoned run stops within one merge step (O(#clusters)
 // work).
 func (p *problem) mergeUntilTClose(clusters []micro.Cluster) ([]micro.Cluster, int, float64, error) {
-	return p.mergeUntilTClosePolicy(clusters, MergeNearestQI)
-}
-
-func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergePolicy) ([]micro.Cluster, int, float64, error) {
 	st := &mergeState{
 		rows:     make([][]int, len(clusters)),
 		hists:    make([]histSet, len(clusters)),
@@ -242,10 +191,7 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 			st.worst.push(worstEntry{emd: st.emds[i], idx: i})
 		}
 	}
-	var index *partnerIndex
-	if policy == MergeNearestQI {
-		index = &partnerIndex{}
-	}
+	var index partnerIndex
 	merges := 0
 	for st.nAlive > 1 {
 		if err := p.interrupted(); err != nil {
@@ -257,18 +203,16 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 			break
 		}
 		var closest int
-		if index != nil && index.ready(p, st) {
+		if index.ready(p, st) {
 			closest = index.nearest(st, worst)
 		} else {
-			closest = st.scanPartner(p, worst, policy)
+			closest = st.scanPartner(p, worst)
 		}
 		if closest < 0 {
 			break
 		}
 		st.merge(p, worst, closest)
-		if index != nil {
-			index.absorbed(closest)
-		}
+		index.absorbed(closest)
 		if st.emds[worst] > 0 {
 			st.worst.push(worstEntry{emd: st.emds[worst], idx: worst})
 		}
@@ -289,26 +233,20 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 	return out, merges, maxEMD, nil
 }
 
-// scanPartner chooses the merge partner of worst per policy by evaluating
-// every live cluster. The candidate evaluations are independent (cached
-// centroids are read-only; the greedy policy clones the worst cluster's
-// histogram per trial), so for large live sets they fan out across the
-// worker budget with an order-stable argmin — dead slots evaluate to +Inf
-// and real costs are finite, so the reduction picks exactly the serial
-// scan's first strict minimum. It returns -1 when no live partner exists.
-func (st *mergeState) scanPartner(p *problem, worst int, policy MergePolicy) int {
+// scanPartner chooses the merge partner of worst — the live cluster whose
+// quasi-identifier centroid is nearest, the paper's policy, which protects
+// utility — by evaluating every live cluster. The candidate evaluations are
+// independent (cached centroids are read-only), so for large live sets
+// they fan out across the worker budget with an order-stable argmin — dead
+// slots evaluate to +Inf and real costs are finite, so the reduction picks
+// exactly the serial scan's first strict minimum. It returns -1 when no
+// live partner exists.
+func (st *mergeState) scanPartner(p *problem, worst int) int {
 	eval := func(j int) float64 {
 		if !st.alive[j] || j == worst {
 			return math.Inf(1)
 		}
-		switch policy {
-		case MergeGreedyEMD:
-			trial := st.hists[worst][0].Clone()
-			trial.Merge(st.hists[j][0])
-			return trial.EMD()
-		default: // MergeNearestQI: the paper's policy
-			return micro.Dist2(st.centroid[worst], st.centroid[j])
-		}
+		return micro.Dist2(st.centroid[worst], st.centroid[j])
 	}
 	w := 1
 	if p.workers >= 2 && st.nAlive >= mergePartnerParMin {
@@ -357,11 +295,11 @@ var (
 	partnerRebuildShare = 4
 )
 
-// partnerIndex answers the MergeNearestQI partner query without evaluating
-// every live centroid. Every live cluster is in exactly one of two places:
-// a k-d tree over the centroids as of the last build, or the list of
-// clusters whose centroid has moved since — merged clusters, whose tree
-// coordinates are stale. The partner is the (distance, index) minimum of
+// partnerIndex answers scanPartner's nearest-centroid query without
+// evaluating every live centroid. Every live cluster is in exactly one of
+// two places: a k-d tree over the centroids as of the last build, or the
+// list of clusters whose centroid has moved since — merged clusters, whose
+// tree coordinates are stale. The partner is the (distance, index) minimum of
 // one tree query and a scan of that list, which is exactly the linear
 // scan's first strict minimum: the tree is built over the live indices in
 // ascending order, so its (distance, rank) tie order is the index order,

@@ -3,37 +3,27 @@ package tclose
 import (
 	"math"
 
-	"repro/internal/dataset"
 	"repro/internal/emd"
 	"repro/internal/micro"
 	"repro/internal/par"
 )
 
-// Algorithm2 implements the paper's Algorithm 2 (k-anonymity-first
-// t-closeness aware microaggregation) the way Section 8 evaluates it: the
-// k-anonymity-first partition is used as the microaggregation function
-// inside Algorithm 1, so the merge step finishes off any clusters (typically
-// the last ones, formed when few unclustered records remain) that the swap
-// refinement could not bring within t. The result therefore always satisfies
-// t-closeness.
+// Algorithm2 runs the paper's Algorithm 2 (k-anonymity-first t-closeness
+// aware microaggregation) against the prepared substrate, the way Section 8
+// evaluates it: the k-anonymity-first partition is used as the
+// microaggregation function inside Algorithm 1, so the merge step finishes
+// off any clusters (typically the last ones, formed when few unclustered
+// records remain) that the swap refinement could not bring within t. The
+// result therefore always satisfies t-closeness.
 //
 // The swap refinement runs on the incremental EMD geometry of package emd
 // (see the package Performance section): candidates come off a lazily
 // consumed heap, eviction candidates are deduplicated by confidential-bin
 // signature, candidates whose signature already failed against the current
 // cluster state are skipped in O(1), and each surviving evaluation costs
-// O(occΔ·log m) instead of the naive full-histogram walk.
-func Algorithm2(t *dataset.Table, k int, tLevel float64) (*Result, error) {
-	prep, err := prepareOneShot(t, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Algorithm2(Run{}, k, tLevel)
-}
-
-// Algorithm2 runs the paper's Algorithm 2 against the prepared substrate;
-// see the package-level Algorithm2. The k-anonymity-first partition depends
-// on both k and t (the swap refinement targets t), so it is never cached.
+// O(occΔ·log m) instead of the naive full-histogram walk. The
+// k-anonymity-first partition depends on both k and t (the swap refinement
+// targets t), so it is never cached.
 func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error) {
 	p, err := prep.newRun(run, k, tLevel)
 	if err != nil {
@@ -51,32 +41,6 @@ func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error
 		Clusters:   merged,
 		MaxEMD:     maxEMD,
 		Merges:     merges,
-		Swaps:      swaps,
-		EffectiveK: p.k,
-	}, nil
-}
-
-// Algorithm2Standalone runs only the k-anonymity-first partition, without
-// the finishing merge step. As the paper notes, it alone cannot guarantee
-// t-closeness (records may be exhausted before the last clusters reach t),
-// so Result.MaxEMD may exceed t; it is exposed for the ablation benchmarks
-// comparing the guarantee's cost.
-func Algorithm2Standalone(t *dataset.Table, k int, tLevel float64) (*Result, error) {
-	prep, err := prepareOneShot(t, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	p, err := prep.newRun(Run{}, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	clusters, swaps, err := p.kAnonymityFirstPartition()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Clusters:   clusters,
-		MaxEMD:     p.maxEMD(clusters),
 		Swaps:      swaps,
 		EffectiveK: p.k,
 	}, nil

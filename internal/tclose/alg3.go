@@ -1,15 +1,14 @@
 package tclose
 
 import (
-	"repro/internal/dataset"
 	"repro/internal/emd"
 	"repro/internal/micro"
 	"repro/internal/par"
 )
 
-// Algorithm3 implements the paper's Algorithm 3 (t-closeness-first
-// microaggregation). It never evaluates an Earth Mover's Distance:
-// t-closeness holds by construction.
+// Algorithm3 runs the paper's Algorithm 3 (t-closeness-first
+// microaggregation) against the prepared substrate. It never evaluates an
+// Earth Mover's Distance: t-closeness holds by construction.
 //
 //  1. The cluster size is set to k' = max{k, ceil(n/(2(n-1)t+1))} (Eq. 3,
 //     derived from the Proposition 2 bound EMD <= (n-k)/(2(n-1)k)) and then
@@ -39,20 +38,11 @@ import (
 // When several confidential attributes are present the subsets are ranked on
 // the first one; the construction guarantee covers that attribute, and
 // Result.MaxEMD reports the worst EMD across all of them.
-func Algorithm3(t *dataset.Table, k int, tLevel float64) (*Result, error) {
-	prep, err := prepareOneShot(t, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Algorithm3(Run{}, k, tLevel)
-}
-
-// Algorithm3 runs the paper's Algorithm 3 against the prepared substrate;
-// see the package-level Algorithm3. The partition (and its achieved EMD)
-// depends on (k, t) only through the effective cluster size k', so it is
-// cached per k': every (k, t) grid point mapping to an already-computed k'
-// returns a deep copy of the cached partition without touching the
-// quasi-identifier geometry at all.
+//
+// The partition (and its achieved EMD) depends on (k, t) only through the
+// effective cluster size k', so it is cached per k': every (k, t) grid
+// point mapping to an already-computed k' returns a deep copy of the cached
+// partition without touching the quasi-identifier geometry at all.
 func (prep *Prepared) Algorithm3(run Run, k int, tLevel float64) (*Result, error) {
 	p, err := prep.newRun(run, k, tLevel)
 	if err != nil {

@@ -32,7 +32,7 @@ func TestAlgorithm1Guarantees(t *testing.T) {
 	tbl := synth.Uniform(120, 3, 5)
 	for _, k := range []int{2, 5, 10} {
 		for _, tl := range []float64{0.05, 0.15, 0.3} {
-			res, err := Algorithm1(tbl, k, tl, nil)
+			res, err := algorithm1(tbl, k, tl)
 			if err != nil {
 				t.Fatalf("k=%d t=%v: %v", k, tl, err)
 			}
@@ -45,7 +45,7 @@ func TestAlgorithm1WorstCaseSingleCluster(t *testing.T) {
 	// With a tiny t the only feasible partition is one cluster of all
 	// records (EMD = 0).
 	tbl := synth.Uniform(40, 2, 7)
-	res, err := Algorithm1(tbl, 2, 0.001, nil)
+	res, err := algorithm1(tbl, 2, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAlgorithm1MergesMonotoneInT(t *testing.T) {
 	tbl := synth.CensusMCD()
 	prev := -1
 	for _, tl := range []float64{0.25, 0.17, 0.09, 0.05, 0.01} {
-		res, err := Algorithm1(tbl, 5, tl, nil)
+		res, err := algorithm1(tbl, 5, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,32 +74,11 @@ func TestAlgorithm1MergesMonotoneInT(t *testing.T) {
 	}
 }
 
-func TestAlgorithm1CustomPartitioner(t *testing.T) {
-	tbl := synth.Uniform(60, 2, 11)
-	vmdav := func(points [][]float64, k int) ([]micro.Cluster, error) {
-		return micro.VMDAV(points, k, 0)
-	}
-	res, err := Algorithm1(tbl, 3, 0.2, vmdav)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGuarantees(t, "alg1+vmdav", res, tbl.Len(), 3, 0.2)
-}
-
-func TestAlgorithm1FailingPartitioner(t *testing.T) {
-	boom := func([][]float64, int) ([]micro.Cluster, error) {
-		return nil, micro.ErrEmpty
-	}
-	if _, err := Algorithm1(synth.Uniform(10, 2, 1), 2, 0.2, boom); err == nil {
-		t.Error("partitioner failure must propagate")
-	}
-}
-
 func TestAlgorithm2Guarantees(t *testing.T) {
 	tbl := synth.Uniform(120, 3, 6)
 	for _, k := range []int{2, 5} {
 		for _, tl := range []float64{0.05, 0.15, 0.3} {
-			res, err := Algorithm2(tbl, k, tl)
+			res, err := algorithm2(tbl, k, tl)
 			if err != nil {
 				t.Fatalf("k=%d t=%v: %v", k, tl, err)
 			}
@@ -112,7 +91,7 @@ func TestAlgorithm2StandalonePartitionValid(t *testing.T) {
 	// The standalone variant must still produce a k-anonymous partition,
 	// even though it may miss the t target.
 	tbl := synth.CensusHCD()
-	res, err := Algorithm2Standalone(tbl, 5, 0.05)
+	res, err := algorithm2Standalone(tbl, 5, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +106,11 @@ func TestAlgorithm2SwapsReduceMerging(t *testing.T) {
 	// must never have *fewer* clusters than Algorithm 1's.
 	tbl := synth.CensusMCD()
 	for _, tl := range []float64{0.09, 0.13, 0.17} {
-		r1, err := Algorithm1(tbl, 5, tl, nil)
+		r1, err := algorithm1(tbl, 5, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Algorithm2(tbl, 5, tl)
+		r2, err := algorithm2(tbl, 5, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +124,7 @@ func TestAlgorithm2SwapsReduceMerging(t *testing.T) {
 func TestAlgorithm2CountsSwaps(t *testing.T) {
 	// On the highly correlated data set with a strict t, swaps must occur.
 	tbl := synth.CensusHCD()
-	res, err := Algorithm2(tbl, 5, 0.09)
+	res, err := algorithm2(tbl, 5, 0.09)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +137,7 @@ func TestAlgorithm3Guarantees(t *testing.T) {
 	tbl := synth.Uniform(120, 3, 8)
 	for _, k := range []int{2, 5, 10} {
 		for _, tl := range []float64{0.05, 0.15, 0.3} {
-			res, err := Algorithm3(tbl, k, tl)
+			res, err := algorithm3(tbl, k, tl)
 			if err != nil {
 				t.Fatalf("k=%d t=%v: %v", k, tl, err)
 			}
@@ -172,7 +151,7 @@ func TestAlgorithm3ClusterSizesTight(t *testing.T) {
 	// the paper: "clusters are perfectly balanced").
 	tbl := synth.CensusMCD() // n = 1080
 	for _, k := range []int{2, 5, 10, 15, 20, 30} {
-		res, err := Algorithm3(tbl, k, 0.25)
+		res, err := algorithm3(tbl, k, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +167,7 @@ func TestAlgorithm3EffectiveKMatchesEq3(t *testing.T) {
 	tbl := synth.CensusMCD()
 	n := tbl.Len()
 	for _, tl := range []float64{0.01, 0.05, 0.13, 0.25} {
-		res, err := Algorithm3(tbl, 2, tl)
+		res, err := algorithm3(tbl, 2, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +185,7 @@ func TestAlgorithm3EffectiveKMatchesEq3(t *testing.T) {
 func TestAlgorithm3BoundHolds(t *testing.T) {
 	// The Proposition 2 bound must hold for every cluster, not just the max.
 	tbl := synth.CensusHCD()
-	res, err := Algorithm3(tbl, 5, 0.09)
+	res, err := algorithm3(tbl, 5, 0.09)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +203,7 @@ func TestAlgorithm3BoundHolds(t *testing.T) {
 
 func TestAlgorithm3SingleClusterWhenTTiny(t *testing.T) {
 	tbl := synth.Uniform(30, 2, 13)
-	res, err := Algorithm3(tbl, 2, 0.0005)
+	res, err := algorithm3(tbl, 2, 0.0005)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +221,7 @@ func TestAlgorithm3PropertyRandomInputs(t *testing.T) {
 		k := 1 + int(kRaw)%12
 		tl := 0.01 + float64(tRaw%400)/1000.0
 		tbl := synth.Uniform(n, 2, seed)
-		res, err := Algorithm3(tbl, k, tl)
+		res, err := algorithm3(tbl, k, tl)
 		if err != nil {
 			return false
 		}
@@ -359,12 +338,12 @@ func TestAlgorithmsMultipleConfidentialAttributes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r1, err := Algorithm1(wide, 3, 0.15, nil)
+	r1, err := algorithm1(wide, 3, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGuarantees(t, "alg1", r1, wide.Len(), 3, 0.15)
-	r2, err := Algorithm2(wide, 3, 0.15)
+	r2, err := algorithm2(wide, 3, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

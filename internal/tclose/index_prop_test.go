@@ -10,18 +10,26 @@ import (
 )
 
 // This file pins the spatial-index paths of the t-closeness algorithms to
-// their linear-scan counterparts: with micro.IndexCrossover forced low,
-// every Farthest/Nearest/candidate-stream query runs on the k-d tree, and
-// the partitions must be identical — not merely close — to the ones the
+// their linear-scan counterparts: with the matrix's index crossover forced
+// low, every Farthest/Nearest/candidate-stream query runs on the k-d tree,
+// and the partitions must be identical — not merely close — to the ones the
 // linear scans produce (which TestKAnonymityFirstPartitionMatchesReference
 // in turn pins to the naive reference implementation).
 
-func withCrossover(t *testing.T, c int, f func()) {
+// withCrossover runs alg on a fresh substrate over tbl whose matrix builds
+// the k-d tree for candidate sets of at least c rows.
+func withCrossover(t *testing.T, c int, alg func(*Prepared, Run, int, float64) (*Result, error), tbl *dataset.Table, k int, tl float64) *Result {
 	t.Helper()
-	old := micro.IndexCrossover
-	micro.IndexCrossover = c
-	defer func() { micro.IndexCrossover = old }()
-	f()
+	prep, err := Prepare(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep.Matrix().SetTuning(micro.Tuning{IndexCrossover: c})
+	res, err := alg(prep, Run{}, k, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAlgorithm2IndexMatchesScan(t *testing.T) {
@@ -31,20 +39,8 @@ func TestAlgorithm2IndexMatchesScan(t *testing.T) {
 	tbl := synth.PatientDischarge(700, 5)
 	for _, k := range []int{1, 2, 4} {
 		for _, tl := range []float64{0.04, 0.15, 0.3} {
-			var scan, indexed *Result
-			var err error
-			withCrossover(t, 1<<30, func() {
-				scan, err = Algorithm2(tbl, k, tl)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			withCrossover(t, 1, func() {
-				indexed, err = Algorithm2(tbl, k, tl)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			scan := withCrossover(t, 1<<30, (*Prepared).Algorithm2, tbl, k, tl)
+			indexed := withCrossover(t, 1, (*Prepared).Algorithm2, tbl, k, tl)
 			if !reflect.DeepEqual(scan, indexed) {
 				t.Fatalf("k=%d t=%v: Algorithm2 index vs scan results diverge", k, tl)
 			}
@@ -56,20 +52,8 @@ func TestAlgorithm3IndexMatchesScan(t *testing.T) {
 	tbl := synth.PatientDischarge(600, 9)
 	for _, k := range []int{2, 5} {
 		for _, tl := range []float64{0.03, 0.1, 0.3} {
-			var scan, indexed *Result
-			var err error
-			withCrossover(t, 1<<30, func() {
-				scan, err = Algorithm3(tbl, k, tl)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			withCrossover(t, 1, func() {
-				indexed, err = Algorithm3(tbl, k, tl)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			scan := withCrossover(t, 1<<30, (*Prepared).Algorithm3, tbl, k, tl)
+			indexed := withCrossover(t, 1, (*Prepared).Algorithm3, tbl, k, tl)
 			if !reflect.DeepEqual(scan, indexed) {
 				t.Fatalf("k=%d t=%v: Algorithm3 index vs scan results diverge", k, tl)
 			}

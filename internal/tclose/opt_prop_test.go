@@ -158,7 +158,7 @@ func TestAlgorithm2EndToEndMatchesReference(t *testing.T) {
 	tbl := synth.Census(200, synth.Fica, 3)
 	for _, k := range []int{2, 5} {
 		for _, tl := range []float64{0.05, 0.2} {
-			res, err := Algorithm2(tbl, k, tl)
+			res, err := algorithm2(tbl, k, tl)
 			if err != nil {
 				t.Fatal(err)
 			}

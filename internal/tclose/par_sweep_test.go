@@ -90,10 +90,7 @@ type sweepAlg struct {
 func sweepAlgorithms() []sweepAlg {
 	return []sweepAlg{
 		{"alg1", func(p *Prepared, k int, tl float64) (*Result, error) {
-			return p.Algorithm1(Run{}, k, tl, nil)
-		}},
-		{"alg1-greedy", func(p *Prepared, k int, tl float64) (*Result, error) {
-			return p.Algorithm1Policy(Run{}, k, tl, nil, MergeGreedyEMD)
+			return p.Algorithm1(Run{}, k, tl)
 		}},
 		{"alg2", func(p *Prepared, k int, tl float64) (*Result, error) {
 			return p.Algorithm2(Run{}, k, tl)
@@ -106,8 +103,8 @@ func sweepAlgorithms() []sweepAlg {
 
 // TestPartitionsWorkerCountInvariant is the central conformance sweep:
 // sequential (workers = 1) and parallel partitions must be bit-identical
-// for workers ∈ {1, 2, 3, 8, GOMAXPROCS} across Algorithms 1 (both merge
-// policies), 2 and 3, over the benchmark generators, a duplicate-heavy
+// for workers ∈ {1, 2, 3, 8, GOMAXPROCS} across Algorithms 1, 2 and 3,
+// over the benchmark generators, a duplicate-heavy
 // adversarial table and a two-confidential-attribute table.
 func TestPartitionsWorkerCountInvariant(t *testing.T) {
 	lowerParFloors(t)

@@ -16,10 +16,9 @@ import (
 // Prepared is the reusable per-table substrate shared by the three
 // algorithms: the normalized quasi-identifier geometry (one flat
 // stride-indexed Matrix, read by the hot distance scans and the centroid
-// computations, and copied for custom Partitioners), one EMD space per
-// confidential attribute, the packed per-record confidential-bin
-// signatures, and lazily materialized derived state (the confidential
-// ranking, partition caches). Preparing once and running many (k, t)
+// computations), one EMD space per confidential attribute, the packed
+// per-record confidential-bin signatures, and lazily materialized derived
+// state (the confidential ranking, partition caches). Preparing once and running many (k, t)
 // parameter points against the same Prepared is the whole point of the
 // engine API: a parameter sweep stops paying the O(n·log n) substrate
 // build — and, where a partition depends only on k, the partition itself —
@@ -110,19 +109,6 @@ func (p *Prepared) Matrix() *micro.Matrix { return p.mat }
 
 // Spaces returns the per-confidential-attribute EMD spaces (read-only).
 func (p *Prepared) Spaces() []*emd.Space { return p.spaces }
-
-// pointsCopy returns a deep copy of the normalized point rows — handed to
-// custom Partitioners, which are not bound to read-only use, so that a
-// writing partitioner can never corrupt the substrate shared by other runs.
-func (p *Prepared) pointsCopy() [][]float64 {
-	n, dim := p.mat.N(), p.mat.Dim()
-	flat := append([]float64(nil), p.mat.Rows(0, n)...)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return out
-}
 
 // ConfOrder returns the records sorted by (first confidential value, row) —
 // the ranking Algorithm 3 and SABRE bucket over — materializing it on first

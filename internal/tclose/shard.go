@@ -133,7 +133,7 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 	}
 	shards := p.shardRows()
 	if shards == nil {
-		return prep.Algorithm1(run, k, tLevel, nil)
+		return prep.Algorithm1(run, k, tLevel)
 	}
 	clusters := make([][]micro.Cluster, len(shards))
 	errs := make([]error, len(shards))

@@ -42,7 +42,7 @@ func shardedAlgorithms() []shardedAlg {
 	return []shardedAlg{
 		{
 			name:    "alg1",
-			serial:  func(p *Prepared, k int, tl float64) (*Result, error) { return p.Algorithm1(Run{}, k, tl, nil) },
+			serial:  func(p *Prepared, k int, tl float64) (*Result, error) { return p.Algorithm1(Run{}, k, tl) },
 			sharded: func(p *Prepared, k int, tl float64) (*Result, error) { return p.Algorithm1Sharded(Run{}, k, tl) },
 		},
 		{

@@ -21,15 +21,14 @@
 //
 // # Prepared substrate
 //
-// The package-level Algorithm1/2/3 functions are one-shot: each call builds
-// the per-table substrate (normalized QI geometry, EMD spaces, signatures)
-// and throws it away. Sweep callers should Prepare once and invoke the
-// Prepared methods of the same names, which share the substrate across
-// runs, support context cancellation and progress reporting through Run,
-// and cache the partitions that depend on fewer parameters than the full
-// (k, t) pair (MDAV per k, Algorithm 3 per effective cluster size). Both
-// paths produce bit-identical results; a Prepared is safe for concurrent
-// runs.
+// Prepare builds the per-table substrate (normalized QI geometry, EMD
+// spaces, signatures) once, and the algorithms run as its methods
+// Algorithm1, Algorithm2 and Algorithm3 (plus Algorithm1Sharded and
+// Algorithm2Sharded). They share the substrate across runs, support context
+// cancellation and progress reporting through Run, and cache the partitions
+// that depend on fewer parameters than the full (k, t) pair (MDAV per k,
+// Algorithm 3 per effective cluster size). A Prepared is safe for
+// concurrent runs; core.Engine is its one caller outside this package.
 //
 // # Performance
 //
@@ -37,7 +36,7 @@
 // formulations of the paper. With n records, m distinct confidential values,
 // d quasi-identifiers and cluster size k:
 //
-//   - Algorithm 1: the partitioner's cost plus the merge loop, whose
+//   - Algorithm 1: MDAV's cost plus the merge loop, whose
 //     per-cluster histograms, EMDs and centroids are cached and updated in
 //     O(1) amortized per merge, and whose worst-cluster selection runs on a
 //     lazily invalidated max-heap (O(log(n/k)) amortized per merge). The
@@ -118,15 +117,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/emd"
 	"repro/internal/micro"
 )
-
-// Partitioner produces a k-anonymous partition of the given normalized
-// quasi-identifier points. micro.MDAV is the default; micro.VMDAV (curried
-// with a gamma) and Algorithm2Standalone-based partitioners also satisfy it.
-type Partitioner func(points [][]float64, k int) ([]micro.Cluster, error)
 
 // Result is the outcome of one of the t-closeness algorithms.
 type Result struct {
@@ -232,28 +225,6 @@ func (prep *Prepared) newRun(run Run, k int, tLevel float64) (*problem, error) {
 		p.evaluated = newSigSet(prep.sigDomain)
 	}
 	return p, nil
-}
-
-// prepareOneShot validates the parameters and prepares a throwaway
-// substrate — the legacy one-call-per-run entry path.
-func prepareOneShot(t *dataset.Table, k int, tLevel float64) (*Prepared, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	if tLevel <= 0 || tLevel > 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrBadT, tLevel)
-	}
-	return Prepare(t)
-}
-
-// newProblem prepares a throwaway substrate and builds one run over it —
-// the one-shot path, also exercised directly by the property tests.
-func newProblem(t *dataset.Table, k int, tLevel float64) (*problem, error) {
-	prep, err := prepareOneShot(t, k, tLevel)
-	if err != nil {
-		return nil, err
-	}
-	return prep.newRun(Run{}, k, tLevel)
 }
 
 // interrupted returns the run context's error, checked by the partition and

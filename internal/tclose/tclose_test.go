@@ -14,12 +14,10 @@ var allAlgorithms = []struct {
 	name string
 	run  func(t *dataset.Table, k int, tl float64) (*Result, error)
 }{
-	{"alg1", func(t *dataset.Table, k int, tl float64) (*Result, error) {
-		return Algorithm1(t, k, tl, nil)
-	}},
-	{"alg2", Algorithm2},
-	{"alg2-standalone", Algorithm2Standalone},
-	{"alg3", Algorithm3},
+	{"alg1", algorithm1},
+	{"alg2", algorithm2},
+	{"alg2-standalone", algorithm2Standalone},
+	{"alg3", algorithm3},
 }
 
 func TestParameterValidation(t *testing.T) {

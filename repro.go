@@ -89,9 +89,6 @@
 // across epochs (warm mode is the bigger win there), or when utility must
 // match the serial reference bit for bit.
 //
-// The one-shot Anonymize(table, cfg) remains fully supported as a shim
-// over a throwaway engine for callers that anonymize a table exactly once.
-//
 // # Persistence
 //
 // Engines can be backed by a persistent columnar store so million-row
@@ -153,7 +150,6 @@ import (
 	"repro/internal/risk"
 	"repro/internal/store"
 	"repro/internal/synth"
-	"repro/internal/tclose"
 )
 
 // Re-exported dataset types. See package dataset for details.
@@ -202,15 +198,11 @@ type (
 	Engine = core.Engine
 	// Spec parameterizes one Engine.Run (algorithm, k, t).
 	Spec = core.Spec
-	// Option configures an Engine at construction; see WithWorkers,
-	// WithIndexCrossover, WithProgress.
+	// Option configures an Engine at construction; see WithWorkers and
+	// WithProgress.
 	Option = core.Option
 	// Progress is one progress event delivered to a WithProgress hook.
 	Progress = core.Progress
-	// Config is the legacy name of Spec.
-	//
-	// Deprecated: use Spec with New / Engine.Run.
-	Config = core.Config
 	// Result is an anonymization outcome: the released table plus privacy
 	// and utility diagnostics.
 	Result = core.Result
@@ -222,8 +214,6 @@ type (
 	// Cluster is a group of record indices sharing aggregated
 	// quasi-identifiers.
 	Cluster = micro.Cluster
-	// Partitioner is a pluggable initial microaggregation for Algorithm 1.
-	Partitioner = tclose.Partitioner
 )
 
 // New prepares a reusable anonymization engine over a private copy of the
@@ -233,14 +223,9 @@ func New(t *Table, opts ...Option) (*Engine, error) { return core.NewEngine(t, o
 
 // Engine construction options; see the core package for details.
 var (
-	// WithWorkers caps the engine's goroutine fan-out for distance scans
-	// and index builds (replaces the deprecated micro.MaxScanWorkers
-	// global).
+	// WithWorkers caps the engine's goroutine fan-out for distance scans,
+	// index builds and the partition loops.
 	WithWorkers = core.WithWorkers
-	// WithIndexCrossover sets the candidate-set size at which the engine's
-	// neighbor searches switch to the k-d tree index (replaces the
-	// deprecated micro.IndexCrossover global).
-	WithIndexCrossover = core.WithIndexCrossover
 	// WithProgress installs a hook receiving coarse progress events from
 	// the partition and merge loops.
 	WithProgress = core.WithProgress
@@ -303,14 +288,6 @@ func IngestCSV(s Store, name string, r io.Reader, budget int) (IngestStats, erro
 // content (schema, dictionaries, exact value bits) — equal hashes mean
 // bit-identical tables, the check the restart conformance relies on.
 func TableHash(t *Table) string { return store.TableHash(t) }
-
-// Anonymize runs the configured algorithm over a throwaway engine and
-// returns the release and its diagnostics; see core.Anonymize. Every call
-// rebuilds the prepared substrate, so parameter sweeps should use New and
-// Engine.Run instead; results are bit-identical either way.
-//
-// Deprecated: use New and Engine.Run. Anonymize remains fully supported.
-func Anonymize(t *Table, cfg Config) (*Result, error) { return core.Anonymize(t, cfg) }
 
 // ParseAlgorithm resolves a command-line algorithm name.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }

@@ -2,11 +2,22 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"repro"
 )
+
+// runFresh runs spec on a fresh engine over tbl: one cold run including its
+// substrate build, as a caller that anonymizes a table once would do it.
+func runFresh(tbl *repro.Table, spec repro.Spec) (*repro.Result, error) {
+	eng, err := repro.New(tbl)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(context.Background(), spec)
+}
 
 func TestFacadeEndToEnd(t *testing.T) {
 	schema, err := repro.NewSchema(
@@ -26,7 +37,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := repro.Anonymize(tbl, repro.Config{
+	res, err := runFresh(tbl, repro.Spec{
 		Algorithm: repro.TClosenessFirst, K: 3, T: 0.25,
 	})
 	if err != nil {
@@ -107,7 +118,7 @@ func TestFacadeReadCSVError(t *testing.T) {
 
 func TestFacadeNewBaselinesAndRisk(t *testing.T) {
 	tbl := repro.CensusMCD()
-	res, err := repro.Anonymize(tbl, repro.Config{
+	res, err := runFresh(tbl, repro.Spec{
 		Algorithm: repro.SABREBaseline, K: 2, T: 0.13, SkipAssessment: true,
 	})
 	if err != nil {
@@ -127,7 +138,7 @@ func TestFacadeNewBaselinesAndRisk(t *testing.T) {
 
 func TestFacadeAnatomyAndNTCloseness(t *testing.T) {
 	tbl := repro.CensusMCD()
-	res, err := repro.Anonymize(tbl, repro.Config{
+	res, err := runFresh(tbl, repro.Spec{
 		Algorithm: repro.TClosenessFirst, K: 5, T: 0.15, SkipAssessment: true,
 	})
 	if err != nil {
@@ -152,7 +163,7 @@ func TestFacadeAnatomyAndNTCloseness(t *testing.T) {
 
 func TestFacadeCorrelationDistortion(t *testing.T) {
 	tbl := repro.CensusHCD()
-	res, err := repro.Anonymize(tbl, repro.Config{
+	res, err := runFresh(tbl, repro.Spec{
 		Algorithm: repro.TClosenessFirst, K: 5, T: 0.13, SkipAssessment: true,
 	})
 	if err != nil {
