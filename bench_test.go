@@ -20,6 +20,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -218,7 +219,7 @@ func BenchmarkMDAV(b *testing.B) {
 	for _, k := range []int{2, 10} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := micro.MDAV(points, k); err != nil {
+				if _, err := micro.MDAV(context.Background(), micro.NewMatrix(points), k); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,17 +57,20 @@ type engineState struct {
 	epoch int
 	table *dataset.Table
 	prep  *tclose.Prepared
-	// log records how each epoch transformed row ids: log[i] maps epoch i
-	// to epoch i+1 (len(log) == epoch). Warm runs replay it to carry a
-	// cached partition forward onto the snapshot's numbering.
-	log []epochChange
+	// remaps holds, oldest first, the row-id map of every deletion epoch
+	// from epoch remapFrom on: all a warm seed cached at or after
+	// remapFrom needs to reach this epoch's numbering. Append epochs keep
+	// row ids stable and add none. Append and Delete keep only the maps
+	// the oldest cached seed can replay, so their number tracks the warm
+	// cache, not the history of churn.
+	remapFrom int
+	remaps    []remap
 }
 
-// epochChange is one epoch transition. Append epochs keep existing row ids
-// stable (oldToNew nil); deletion epochs carry the full old-to-new mapping
-// with -1 marking tombstoned rows.
-type epochChange struct {
-	appended int
+// remap is one deletion epoch's row-id transition: oldToNew maps the ids
+// of epoch to those of epoch+1, with -1 marking tombstoned rows.
+type remap struct {
+	epoch    int
 	oldToNew []int
 }
 
@@ -144,7 +147,7 @@ func (e *Engine) snapshot() *engineState {
 	return e.state
 }
 
-// Epoch returns the number of Append batches ingested so far.
+// Epoch returns the number of Append and Delete epochs committed so far.
 func (e *Engine) Epoch() int { return e.snapshot().epoch }
 
 // Len returns the current number of records.
@@ -192,23 +195,31 @@ func (e *Engine) Append(rows ...[]any) error {
 			return fmt.Errorf("core: persisting append epoch: %w", err)
 		}
 	}
-	e.state = &engineState{
-		epoch: st.epoch + 1,
-		table: table,
-		prep:  prep,
-		log:   appendLog(st.log, epochChange{appended: len(rows)}),
-	}
+	e.state = &engineState{epoch: st.epoch + 1, table: table, prep: prep}
+	e.state.remapFrom, e.state.remaps = e.keptRemaps(st, nil)
 	return nil
 }
 
-// appendLog extends an epoch log without aliasing the predecessor state's
-// backing array (snapshots are immutable; in-flight runs read their log
-// concurrently with later epochs being opened).
-func appendLog(log []epochChange, ch epochChange) []epochChange {
-	out := make([]epochChange, len(log)+1)
-	copy(out, log)
-	out[len(log)] = ch
-	return out
+// keptRemaps returns the remaps the successor of st keeps and the epoch
+// they start at: st's maps from the oldest cached warm seed a remap chain
+// still reaches, plus next, the successor's own deletion map (nil for an
+// append). With no such seed it keeps none and starts at the successor's
+// epoch. It builds a new slice, since in-flight runs read st's.
+func (e *Engine) keptRemaps(st *engineState, next *remap) (int, []remap) {
+	from, ok := e.oldestSeed(st.remapFrom)
+	if !ok {
+		return st.epoch + 1, nil
+	}
+	var kept []remap
+	for _, rm := range st.remaps {
+		if rm.epoch >= from {
+			kept = append(kept, rm)
+		}
+	}
+	if next != nil {
+		kept = append(kept, *next)
+	}
+	return from, kept
 }
 
 // Delete removes records by row id as a new table epoch — the tombstone
@@ -218,9 +229,10 @@ func appendLog(log []epochChange, ch epochChange) []epochChange {
 // geometry incrementally, so the substrate is rebuilt over the filtered
 // table — which makes every subsequent cold run bit-identical to a fresh
 // engine over that table by construction. Warm runs see the deletion
-// through the epoch log: tombstoned rows drop out of cached partitions and
-// the clusters that lost them are repaired. In-flight runs keep the epoch
-// they started on; on error nothing changes.
+// through its row-id map, kept while a cached seed may replay it:
+// tombstoned rows drop out of cached partitions and the clusters that lost
+// them are repaired. In-flight runs keep the epoch they started on; on
+// error nothing changes.
 func (e *Engine) Delete(rowIDs ...int) error {
 	if len(rowIDs) == 0 {
 		return nil
@@ -264,12 +276,8 @@ func (e *Engine) Delete(rowIDs ...int) error {
 			return fmt.Errorf("core: persisting delete epoch: %w", err)
 		}
 	}
-	e.state = &engineState{
-		epoch: st.epoch + 1,
-		table: table,
-		prep:  prep,
-		log:   appendLog(st.log, epochChange{oldToNew: oldToNew}),
-	}
+	e.state = &engineState{epoch: st.epoch + 1, table: table, prep: prep}
+	e.state.remapFrom, e.state.remaps = e.keptRemaps(st, &remap{epoch: st.epoch, oldToNew: oldToNew})
 	return nil
 }
 
@@ -416,19 +424,16 @@ func (e *Engine) runCold(ctx context.Context, st *engineState, spec Spec) (
 		}
 	case SABREBaseline:
 		var res *sabre.Result
-		res, err = sabre.AnonymizeCtx(ctx, st.table, spec.K, spec.T, &sabre.Env{
-			Mat:   st.prep.Matrix(),
-			Order: st.prep.ConfOrder(),
-		})
+		res, err = sabre.AnonymizeCtx(ctx, st.table, st.prep.Matrix(), st.prep.ConfOrder(), spec.K, spec.T)
 		if err == nil {
 			clusters, maxEMD, ek = res.Clusters, res.MaxEMD, res.ECSize
 		}
 	case IncognitoBaseline:
 		var res *generalization.GenResult
-		res, err = generalization.IncognitoTPrepared(ctx, st.table, spec.K, spec.T, 0, st.orderedSpaces())
+		res, err = generalization.IncognitoTPrepared(ctx, st.table, spec.K, spec.T, st.orderedSpaces())
 		if err == nil {
 			clusters, maxEMD, ek = res.Clusters, res.MaxEMD, spec.K
-			anonymized, err = generalization.Recode(st.table, res.Levels, 0)
+			anonymized, err = generalization.Recode(st.table, res.Levels)
 		}
 	default:
 		err = fmt.Errorf("core: unknown algorithm %v", spec.Algorithm)

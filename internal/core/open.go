@@ -9,17 +9,18 @@ import (
 
 // Open rebuilds a dataset from a persistent store (store.Load, which
 // streams the committed chunks and tombstones into one table) and
-// prepares an engine over it once, with its epoch history restored: the
-// epoch counter and the row-id transition log match the engine that wrote
-// the store, so warm replay and future epochs continue seamlessly across a
-// process restart, and releases are bit-identical to the pre-restart
-// engine's.
+// prepares an engine over it once, restoring the epoch counter of the
+// engine that wrote the store, so future epochs continue its numbering
+// across a process restart and releases are bit-identical to the
+// pre-restart engine's. The opened engine's warm cache starts empty, so
+// it needs no row-id history: its first warm run at a spec runs cold and
+// seeds the cache.
 //
 // The opened engine writes through: Append and Delete persist their
 // epoch durably before it becomes visible to runs, and on a persistence
 // error the engine is unchanged.
 func Open(b store.Backend, name string, opts ...Option) (*Engine, error) {
-	tbl, epochs, err := store.Load(b, name)
+	tbl, epoch, err := store.Load(b, name)
 	if err != nil {
 		return nil, err
 	}
@@ -27,12 +28,7 @@ func Open(b store.Backend, name string, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := make([]epochChange, len(epochs))
-	for i, ep := range epochs {
-		log[i] = epochChange{appended: ep.Appended, oldToNew: ep.OldToNew}
-	}
-	e.state.epoch = len(epochs)
-	e.state.log = log
+	e.state.epoch, e.state.remapFrom = epoch, epoch
 	e.store, e.storeName = b, name
 	return e, nil
 }

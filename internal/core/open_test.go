@@ -48,8 +48,7 @@ func releaseCSV(t *testing.T, e *Engine, spec Spec) []byte {
 }
 
 // Create → epochs → kill → Open must restore the same engine: epoch
-// counter, table hash, epoch log (observable through warm runs), and
-// byte-identical releases.
+// counter, table hash and byte-identical releases.
 func TestOpenRestoresEngineAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	b, err := store.NewFileBackend(dir)
@@ -124,10 +123,9 @@ func TestOpenRestoresEngineAcrossRestart(t *testing.T) {
 	}
 }
 
-// The epoch log restored by Open must keep warm replay working: a warm
-// seed taken at the restored epoch counter indexes into the log by epoch
-// number, so the restored log must have exactly the pre-restart entries
-// for post-restart epochs to replay across it without skew.
+// Warm replay must keep working across a restart: Open restores only the
+// epoch counter, so a seed cached at the restored epoch must replay the
+// deletions committed after it by their own epoch numbers, without skew.
 func TestOpenRestoresWarmReplay(t *testing.T) {
 	dir := t.TempDir()
 	b, err := store.NewFileBackend(dir)
@@ -153,9 +151,9 @@ func TestOpenRestoresWarmReplay(t *testing.T) {
 		t.Fatal("live warm run did not use the warm cache")
 	}
 
-	// Restart (epoch counter now 1, log has 1 restored entry), reseed the
-	// cache at the restored epoch, open two more epochs, and verify warm
-	// replay crosses them — which walks the restored log by epoch index.
+	// Restart (epoch counter now 1, warm cache empty), reseed the cache at
+	// the restored epoch, commit two more epochs, and verify warm replay
+	// crosses them.
 	b2, err := store.NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -179,29 +177,5 @@ func TestOpenRestoresWarmReplay(t *testing.T) {
 	}
 	if res3.Warm == nil {
 		t.Fatal("warm run after restart+delete+append did not use the warm cache")
-	}
-}
-
-// Create with a mem backend behaves identically (same engine contract,
-// no files).
-func TestCreateMemBackend(t *testing.T) {
-	b := store.NewMemBackend()
-	tbl := mixedTable(t, 60)
-	eng, err := Create(b, "ds", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Append([]any{25.0, 90400.0, "bergen", "flu"}); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := Open(b, "ds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng2.Epoch() != 1 || eng2.Len() != tbl.Len()+1 {
-		t.Fatalf("mem reopen: epoch %d len %d", eng2.Epoch(), eng2.Len())
-	}
-	if store.TableHash(eng2.Table()) != store.TableHash(eng.Table()) {
-		t.Fatal("mem reopen hash mismatch")
 	}
 }

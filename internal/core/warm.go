@@ -86,18 +86,35 @@ func (e *Engine) storeWarm(spec Spec, st *engineState, clusters []micro.Cluster,
 	e.warm[key] = warmEntry{epoch: st.epoch, clusters: cp, effectiveK: effK}
 }
 
-// warmSeed maps the cached partition for spec forward through the epoch log
-// onto the snapshot's row numbering: append epochs keep ids stable, deletion
-// epochs remap survivors and drop tombstoned rows, marking clusters that
-// lost members dirty. ok is false when no cache entry exists, the entry is
-// newer than the snapshot (a concurrent run raced an append), or every
-// seed cluster was deleted away — the caller then runs cold.
+// oldestSeed returns the epoch of the oldest cached warm seed at or after
+// epoch from, the oldest one a remap chain starting at from can carry
+// forward; ok is false when there is none.
+func (e *Engine) oldestSeed(from int) (epoch int, ok bool) {
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
+	for _, ent := range e.warm {
+		if ent.epoch >= from && (!ok || ent.epoch < epoch) {
+			epoch, ok = ent.epoch, true
+		}
+	}
+	return epoch, ok
+}
+
+// warmSeed maps the cached partition for spec forward onto the snapshot's
+// row numbering through the snapshot's remaps from the seed's epoch on:
+// append epochs keep ids stable, deletion epochs remap survivors and drop
+// tombstoned rows, marking clusters that lost members dirty. ok is false
+// when no cache entry exists, the entry is newer than the snapshot (a
+// concurrent run raced an epoch), the entry is older than the snapshot's
+// remaps (a run over a stale snapshot stored it after the maps it needs
+// were dropped), or every seed cluster was deleted away — the caller then
+// runs cold.
 func (e *Engine) warmSeed(spec Spec, st *engineState) (tclose.WarmSeed, int, bool) {
 	key := warmKey{alg: spec.Algorithm, k: spec.K, t: spec.T}
 	e.warmMu.Lock()
 	ent, ok := e.warm[key]
 	e.warmMu.Unlock()
-	if !ok || ent.epoch > st.epoch {
+	if !ok || ent.epoch > st.epoch || ent.epoch < st.remapFrom {
 		return tclose.WarmSeed{}, 0, false
 	}
 	clusters := make([][]int, len(ent.clusters))
@@ -105,14 +122,14 @@ func (e *Engine) warmSeed(spec Spec, st *engineState) (tclose.WarmSeed, int, boo
 		clusters[i] = append([]int(nil), c.Rows...)
 	}
 	dirty := make([]bool, len(clusters))
-	for _, ch := range st.log[ent.epoch:st.epoch] {
-		if ch.oldToNew == nil {
-			continue // append epoch: row ids are stable
+	for _, rm := range st.remaps {
+		if rm.epoch < ent.epoch {
+			continue // the seed postdates this deletion
 		}
 		for ci, rows := range clusters {
 			kept := rows[:0]
 			for _, r := range rows {
-				if nr := ch.oldToNew[r]; nr >= 0 {
+				if nr := rm.oldToNew[r]; nr >= 0 {
 					kept = append(kept, nr)
 				} else {
 					dirty[ci] = true

@@ -49,7 +49,11 @@ type hierarchy struct {
 	bins   [][]int // bins[level][row] -> interval index; level 0 = exact rank
 }
 
-func buildHierarchy(t *dataset.Table, col, maxLevels int) *hierarchy {
+// maxLevels caps the per-attribute hierarchy height: 8 levels cover up to
+// 256 intervals.
+const maxLevels = 8
+
+func buildHierarchy(t *dataset.Table, col int) *hierarchy {
 	ranks, distinct := t.Ranks(col)
 	m := len(distinct)
 	natural := 0
@@ -82,9 +86,7 @@ func buildHierarchy(t *dataset.Table, col, maxLevels int) *hierarchy {
 // IncognitoTPrepared searches the full-domain generalization lattice
 // bottom-up for the minimal generalizations that make the table k-anonymous
 // and t-close, and returns the one with the lowest information loss.
-// maxLevels caps the per-attribute hierarchy height (8 covers up to 256
-// intervals; pass 0 for the default). Cancellation is checked once per
-// evaluated lattice node.
+// Cancellation is checked once per evaluated lattice node.
 //
 // If even the top node (everything generalized to a single interval, i.e.
 // one equivalence class) fails — impossible, since a single class has EMD
@@ -93,7 +95,7 @@ func buildHierarchy(t *dataset.Table, col, maxLevels int) *hierarchy {
 // spaces are the ordered-distance EMD spaces, one per confidential
 // attribute in schema order, which the engine prepares once per table; nil
 // spaces are built here.
-func IncognitoTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel float64, maxLevels int, spaces []*emd.Space) (*GenResult, error) {
+func IncognitoTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel float64, spaces []*emd.Space) (*GenResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -113,9 +115,6 @@ func IncognitoTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel flo
 	if tLevel <= 0 || tLevel > 1 {
 		return nil, fmt.Errorf("generalization: t must be in (0, 1], got %v", tLevel)
 	}
-	if maxLevels <= 0 {
-		maxLevels = 8
-	}
 	qis := t.Schema().QuasiIdentifiers()
 	for _, c := range qis {
 		if t.Schema().Attr(c).Kind != dataset.Numeric {
@@ -124,7 +123,7 @@ func IncognitoTPrepared(ctx context.Context, t *dataset.Table, k int, tLevel flo
 	}
 	hier := make([]*hierarchy, len(qis))
 	for i, c := range qis {
-		hier[i] = buildHierarchy(t, c, maxLevels)
+		hier[i] = buildHierarchy(t, c)
 	}
 	if spaces == nil {
 		spaces = make([]*emd.Space, 0, 1)
@@ -326,10 +325,7 @@ func quickSSE(orig, anon *dataset.Table, cols []int) float64 {
 
 // Recode exposes the release step for a found generalization so callers can
 // materialize the anonymized table from a GenResult.
-func Recode(t *dataset.Table, levels []int, maxLevels int) (*dataset.Table, error) {
-	if maxLevels <= 0 {
-		maxLevels = 8
-	}
+func Recode(t *dataset.Table, levels []int) (*dataset.Table, error) {
 	qis := t.Schema().QuasiIdentifiers()
 	if len(levels) != len(qis) {
 		return nil, fmt.Errorf("generalization: %d levels for %d quasi-identifiers",
@@ -337,7 +333,7 @@ func Recode(t *dataset.Table, levels []int, maxLevels int) (*dataset.Table, erro
 	}
 	hier := make([]*hierarchy, len(qis))
 	for i, c := range qis {
-		hier[i] = buildHierarchy(t, c, maxLevels)
+		hier[i] = buildHierarchy(t, c)
 		if levels[i] < 0 || levels[i] > hier[i].levels {
 			return nil, fmt.Errorf("generalization: level %d out of range for attribute %d",
 				levels[i], i)

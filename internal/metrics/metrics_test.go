@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -135,7 +136,7 @@ func TestAggregationReducesSSEWithSmallerClusters(t *testing.T) {
 	points := tbl.QIMatrix()
 	var last float64 = -1
 	for _, k := range []int{2, 10, 75} {
-		clusters, err := micro.MDAV(points, k)
+		clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(points), k)
 		if err != nil {
 			t.Fatal(err)
 		}

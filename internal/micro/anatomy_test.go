@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestAnatomyReleasePreservesQIs(t *testing.T) {
 	tbl := synth.Census(200, synth.FedTax, 3)
-	clusters, err := MDAV(tbl.QIMatrix(), 4)
+	clusters, err := MDAV(context.Background(), NewMatrix(tbl.QIMatrix()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestAnatomyReleasePreservesQIs(t *testing.T) {
 
 func TestAnatomyReleasePermutesWithinClusters(t *testing.T) {
 	tbl := synth.Census(200, synth.FedTax, 3)
-	clusters, err := MDAV(tbl.QIMatrix(), 4)
+	clusters, err := MDAV(context.Background(), NewMatrix(tbl.QIMatrix()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestAnatomyReleasePermutesWithinClusters(t *testing.T) {
 
 func TestAnatomyReleaseDeterministic(t *testing.T) {
 	tbl := synth.Uniform(60, 2, 5)
-	clusters, err := MDAV(tbl.QIMatrix(), 3)
+	clusters, err := MDAV(context.Background(), NewMatrix(tbl.QIMatrix()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

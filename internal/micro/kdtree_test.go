@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -269,11 +270,11 @@ func TestMDAVIndexMatchesScan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		pts, n := kdTrialPoints(rng, trial)
 		k := 1 + rng.Intn(6)
-		scan, err := MDAVMatrix(tunedMatrix(pts, Tuning{IndexCrossover: 1 << 30}), k)
+		scan, err := MDAV(context.Background(), tunedMatrix(pts, Tuning{IndexCrossover: 1 << 30}), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := MDAVMatrix(tunedMatrix(pts, Tuning{IndexCrossover: 1}), k)
+		indexed, err := MDAV(context.Background(), tunedMatrix(pts, Tuning{IndexCrossover: 1}), k)
 		if err != nil {
 			t.Fatal(err)
 		}

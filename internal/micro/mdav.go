@@ -13,9 +13,11 @@ import "context"
 // from the centroid and the rest form the final cluster. When fewer than 2k
 // remain, they all join a single final cluster.
 //
-// MDAV partitions points (a row-major matrix of normalized quasi-identifier
-// vectors) into clusters of size at least k. If len(points) < 2k the result
-// is a single cluster containing every record.
+// MDAV partitions the rows of m (normalized quasi-identifier vectors)
+// into clusters of size at least k. If m has fewer than 2k rows the result
+// is a single cluster containing every record. Cancellation is checked
+// once per cluster-extraction round (each round costs O(n·dim) at most),
+// so an abandoned run stops within one round and returns ctx.Err().
 //
 // The implementation keeps the remaining-set centroid as a running sum
 // (O(k·dim) to update per extracted cluster instead of an O(n·dim) rescan),
@@ -28,28 +30,13 @@ import "context"
 // linear reader needs it exact — an unindexed Searcher, the exact centroid
 // of a small remainder, the final cluster — so an indexed round costs no
 // O(n) filtering pass.
-func MDAV(points [][]float64, k int) ([]Cluster, error) {
-	return MDAVMatrix(NewMatrix(points), k)
-}
-
-// MDAVMatrix is MDAV over an already-flattened point matrix.
-func MDAVMatrix(m *Matrix, k int) ([]Cluster, error) {
-	return MDAVMatrixCtx(context.Background(), m, k)
-}
-
-// MDAVMatrixCtx is MDAVMatrix with cooperative cancellation, checked once
-// per cluster-extraction round (each round costs O(n·dim) at most), so an
-// abandoned run stops within one round and returns ctx.Err().
-func MDAVMatrixCtx(ctx context.Context, m *Matrix, k int) ([]Cluster, error) {
+func MDAV(ctx context.Context, m *Matrix, k int) ([]Cluster, error) {
 	n := m.N()
 	if n == 0 {
 		return nil, ErrEmpty
 	}
 	if k < 1 {
 		return nil, ErrBadK
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	remaining := make([]int, n)
 	for i := range remaining {

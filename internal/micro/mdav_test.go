@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,10 +22,10 @@ func randomPoints(n, dim int, seed int64) [][]float64 {
 }
 
 func TestMDAVErrors(t *testing.T) {
-	if _, err := MDAV(nil, 2); err == nil {
+	if _, err := MDAV(context.Background(), NewMatrix(nil), 2); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := MDAV(randomPoints(5, 2, 1), 0); err == nil {
+	if _, err := MDAV(context.Background(), NewMatrix(randomPoints(5, 2, 1)), 0); err == nil {
 		t.Error("k = 0 should fail")
 	}
 }
@@ -33,7 +34,7 @@ func TestMDAVPartitionAndSizeBounds(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 7, 10, 33, 100} {
 		for _, k := range []int{1, 2, 3, 5} {
 			pts := randomPoints(n, 3, int64(n*100+k))
-			clusters, err := MDAV(pts, k)
+			clusters, err := MDAV(context.Background(), NewMatrix(pts), k)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, k, err)
 			}
@@ -59,7 +60,7 @@ func TestMDAVSizeBoundsProperty(t *testing.T) {
 		n := 1 + int(nRaw)%120
 		k := 1 + int(kRaw)%10
 		pts := randomPoints(n, 2, seed)
-		clusters, err := MDAV(pts, k)
+		clusters, err := MDAV(context.Background(), NewMatrix(pts), k)
 		if err != nil {
 			return false
 		}
@@ -83,11 +84,11 @@ func TestMDAVSizeBoundsProperty(t *testing.T) {
 
 func TestMDAVDeterministic(t *testing.T) {
 	pts := randomPoints(50, 2, 4)
-	a, err := MDAV(pts, 3)
+	a, err := MDAV(context.Background(), NewMatrix(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MDAV(pts, 3)
+	b, err := MDAV(context.Background(), NewMatrix(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestMDAVDeterministic(t *testing.T) {
 
 func TestMDAVSmallerThan2K(t *testing.T) {
 	pts := randomPoints(5, 2, 9)
-	clusters, err := MDAV(pts, 3)
+	clusters, err := MDAV(context.Background(), NewMatrix(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMDAVGroupsNeighbors(t *testing.T) {
 		{0, 0}, {0.01, 0}, {0, 0.01},
 		{10, 10}, {10.01, 10}, {10, 10.01},
 	}
-	clusters, err := MDAV(pts, 3)
+	clusters, err := MDAV(context.Background(), NewMatrix(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package micro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestParallelScansMatchReferenceLarge(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	clusters, err := MDAV(pts, 500)
+	clusters, err := MDAV(context.Background(), NewMatrix(pts), 500)
 	if err != nil {
 		t.Fatal(err)
 	}

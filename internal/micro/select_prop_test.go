@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -179,7 +180,7 @@ func TestMDAVMatchesReference(t *testing.T) {
 		dim := 1 + rng.Intn(4)
 		pts := tiePoints(rng, n, dim, false)
 		k := 1 + rng.Intn(8)
-		got, err := MDAV(pts, k)
+		got, err := MDAV(context.Background(), NewMatrix(pts), k)
 		if err != nil {
 			t.Fatal(err)
 		}

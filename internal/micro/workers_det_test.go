@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	var ref []Cluster
 	for _, w := range []int{1, 2, 8} {
-		got, err := MDAVMatrix(tunedMatrix(pts, Tuning{Workers: w}), 3)
+		got, err := MDAV(context.Background(), tunedMatrix(pts, Tuning{Workers: w}), 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/micro"
@@ -12,7 +13,7 @@ func TestNTClosenessDegeneratesToTCloseness(t *testing.T) {
 	// With nMin >= table size the neighborhood is the whole table, so the
 	// (n,t) level equals the plain t-closeness level.
 	tbl := synth.Census(150, synth.FedTax, 9)
-	clusters, err := micro.MDAV(tbl.QIMatrix(), 5)
+	clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(tbl.QIMatrix()), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestNTClosenessRelaxesT(t *testing.T) {
 	// the global distribution on QI-correlated data, so the (n,t) level is
 	// no larger than the plain t level for small neighborhoods.
 	tbl := synth.CensusHCD()
-	clusters, err := micro.MDAV(tbl.QIMatrix(), 5)
+	clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(tbl.QIMatrix()), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestNTClosenessRelaxesT(t *testing.T) {
 
 func TestNTClosenessValidation(t *testing.T) {
 	tbl := synth.Uniform(20, 2, 3)
-	clusters, err := micro.MDAV(tbl.QIMatrix(), 4)
+	clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(tbl.QIMatrix()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

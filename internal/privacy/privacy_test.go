@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -157,7 +158,7 @@ func TestVerifiersAgreeWithPipeline(t *testing.T) {
 	// The verifiers must confirm what micro.Aggregate + MDAV promise on a
 	// real data set.
 	tbl := synth.Census(200, synth.FedTax, 5)
-	clusters, err := micro.MDAV(tbl.QIMatrix(), 4)
+	clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(tbl.QIMatrix()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

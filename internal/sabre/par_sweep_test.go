@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/micro"
 	"repro/internal/synth"
+	"repro/internal/tclose"
 )
 
 // TestRedistributeWorkerCountInvariant pins SABRE's parallel determinism
@@ -44,9 +45,12 @@ func TestRedistributeWorkerCountInvariant(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			for _, tl := range []float64{0.08, 0.25} {
 				run := func(workers int) *Result {
-					mat := micro.NewMatrix(tc.tbl.QIMatrix())
-					mat.SetTuning(micro.Tuning{Workers: workers})
-					res, err := AnonymizeCtx(context.Background(), tc.tbl, k, tl, &Env{Mat: mat})
+					p, err := tclose.Prepare(tc.tbl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.Matrix().SetTuning(micro.Tuning{Workers: workers})
+					res, err := AnonymizeCtx(context.Background(), tc.tbl, p.Matrix(), p.ConfOrder(), k, tl)
 					if err != nil {
 						t.Fatalf("%s k=%d t=%v workers=%d: %v", tc.name, k, tl, workers, err)
 					}

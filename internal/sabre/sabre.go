@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/emd"
@@ -72,24 +71,15 @@ type bucket struct {
 
 func (b bucket) size() int { return b.hi - b.lo }
 
-// Env carries prepared substrate an engine caller can share with a SABRE
-// run so the baseline stops rebuilding per-table state per call. Every
-// field is optional (nil means build it here) and read-only.
-type Env struct {
-	// Mat is the normalized quasi-identifier matrix (dataset.Table
-	// .QIMatrix flattened); it must describe exactly the table's records.
-	Mat *micro.Matrix
-	// Order is the record order by (first confidential value, row) — the
-	// ranking the buckets slice.
-	Order []int
-}
-
 // AnonymizeCtx partitions the table into k-anonymous equivalence classes
 // aimed at t-closeness level tLevel using SABRE-style bucketization and
-// redistribution. Cancellation is checked once per equivalence class, so an
-// abandoned run stops within one class build; env optionally supplies
-// prepared substrate.
-func AnonymizeCtx(ctx context.Context, t *dataset.Table, k int, tLevel float64, env *Env) (*Result, error) {
+// redistribution. mat is the normalized quasi-identifier matrix of exactly
+// the table's records, and order the records sorted by (first confidential
+// value, row), the ranking the buckets slice: the engine's prepared
+// substrate (tclose.Prepared.Matrix and ConfOrder), read-only here.
+// Cancellation is checked once per equivalence class, so an abandoned run
+// stops within one class build.
+func AnonymizeCtx(ctx context.Context, t *dataset.Table, mat *micro.Matrix, order []int, k int, tLevel float64) (*Result, error) {
 	if t == nil || t.Len() == 0 {
 		return nil, errors.New("sabre: data set has no records")
 	}
@@ -106,29 +96,6 @@ func AnonymizeCtx(ctx context.Context, t *dataset.Table, k int, tLevel float64, 
 		ctx = context.Background()
 	}
 	n := t.Len()
-	var order []int
-	if env != nil && env.Order != nil {
-		order = env.Order
-	} else {
-		confCol := t.Schema().Confidentials()[0]
-		conf := t.ColumnView(confCol)
-		order = make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if conf[order[i]] != conf[order[j]] {
-				return conf[order[i]] < conf[order[j]]
-			}
-			return order[i] < order[j]
-		})
-	}
-	var mat *micro.Matrix
-	if env != nil && env.Mat != nil {
-		mat = env.Mat
-	} else {
-		mat = micro.NewMatrix(t.QIMatrix())
-	}
 
 	buckets := bucketize(n, k, tLevel)
 	clusters, err := redistribute(ctx, t, mat, order, buckets, k)

@@ -5,23 +5,36 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/emd"
 	"repro/internal/micro"
 	"repro/internal/synth"
+	"repro/internal/tclose"
 )
+
+// anonymize runs SABRE over the table's prepared substrate, as the engine
+// does.
+func anonymize(t *testing.T, tbl *dataset.Table, k int, tl float64) (*Result, error) {
+	t.Helper()
+	p, err := tclose.Prepare(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AnonymizeCtx(context.Background(), tbl, p.Matrix(), p.ConfOrder(), k, tl)
+}
 
 func TestAnonymizeValidation(t *testing.T) {
 	tbl := synth.Uniform(30, 2, 1)
-	if _, err := AnonymizeCtx(context.Background(), nil, 2, 0.1, nil); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), nil, nil, nil, 2, 0.1); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := AnonymizeCtx(context.Background(), tbl, 0, 0.1, nil); err == nil {
+	if _, err := anonymize(t, tbl, 0, 0.1); err == nil {
 		t.Error("k = 0 should fail")
 	}
-	if _, err := AnonymizeCtx(context.Background(), tbl, 2, 0, nil); err == nil {
+	if _, err := anonymize(t, tbl, 2, 0); err == nil {
 		t.Error("t = 0 should fail")
 	}
-	if _, err := AnonymizeCtx(context.Background(), tbl, 2, 2, nil); err == nil {
+	if _, err := anonymize(t, tbl, 2, 2); err == nil {
 		t.Error("t > 1 should fail")
 	}
 }
@@ -30,7 +43,7 @@ func TestAnonymizePartitionValid(t *testing.T) {
 	for _, n := range []int{20, 100, 333} {
 		tbl := synth.Uniform(n, 2, int64(n))
 		for _, tl := range []float64{0.05, 0.15, 0.3} {
-			res, err := AnonymizeCtx(context.Background(), tbl, 3, tl, nil)
+			res, err := anonymize(t, tbl, 3, tl)
 			if err != nil {
 				t.Fatalf("n=%d t=%v: %v", n, tl, err)
 			}
@@ -45,14 +58,14 @@ func TestAnonymizeMeetsTOnEvaluationData(t *testing.T) {
 	// The bucketization bound is conservative, so the achieved EMD should
 	// meet the requested t on the evaluation data sets.
 	for _, tl := range []float64{0.09, 0.13, 0.21} {
-		res, err := AnonymizeCtx(context.Background(), synth.CensusMCD(), 5, tl, nil)
+		res, err := anonymize(t, synth.CensusMCD(), 5, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.MaxEMD > tl+1e-9 {
 			t.Errorf("MCD t=%v: achieved EMD %v", tl, res.MaxEMD)
 		}
-		res, err = AnonymizeCtx(context.Background(), synth.CensusHCD(), 5, tl, nil)
+		res, err = anonymize(t, synth.CensusHCD(), 5, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +83,7 @@ func TestGreedyBucketsVsAnalyticMinimum(t *testing.T) {
 	tbl := synth.CensusMCD()
 	n := tbl.Len()
 	for _, tl := range []float64{0.05, 0.09, 0.13, 0.21} {
-		res, err := AnonymizeCtx(context.Background(), tbl, 2, tl, nil)
+		res, err := anonymize(t, tbl, 2, tl)
 		if err != nil {
 			t.Fatal(err)
 		}

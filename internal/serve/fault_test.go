@@ -263,6 +263,11 @@ func TestFaultInjectionStress(t *testing.T) {
 		switch code {
 		case http.StatusAccepted, http.StatusOK:
 			ids = append(ids, jobID(t, doc))
+			if round%4 == 0 {
+				// The next round disarms the panic; let this round's job
+				// reach its armed task first, so the fault lands every run.
+				waitJob(t, ts.URL, jobID(t, doc), 60*time.Second)
+			}
 		case http.StatusTooManyRequests:
 			// Shedding under stress is correct behavior.
 		default:

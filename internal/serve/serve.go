@@ -305,8 +305,8 @@ func (s *Server) reserveDataset(name string) error {
 // RestoreDatasets opens every dataset committed in Config.Store and
 // registers it under its stored name — the boot-time counterpart of
 // write-through registration. Each restored engine carries the epoch
-// counter, replayable epoch log, and bit-identical table of the engine
-// that wrote the store, so releases match across the restart. It returns
+// counter and bit-identical table of the engine that wrote the store, so
+// releases match across the restart. It returns
 // the restored names in lexical order; with no store configured it
 // restores nothing.
 //

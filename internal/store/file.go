@@ -96,7 +96,6 @@ type fileState struct {
 	schema   *dataset.Schema
 	rows     int
 	epoch    int
-	epochs   []Epoch
 	dictLens []int
 	rolling  uint64 // manifest digest over every block written so far
 }

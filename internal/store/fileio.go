@@ -332,13 +332,11 @@ func (rs *replayState) onCommit(p []byte) error {
 		}
 		if ekind == epochAppend {
 			rs.epoch = epoch
-			rs.epochs = append(rs.epochs, Epoch{Appended: rs.epochRows})
 		}
 	case epochDelete:
 		if !rs.hasTomb || rs.epochRows != 0 {
 			return corruptf("delete commit without exactly one tombstone")
 		}
-		oldToNew := oldToNewMap(rs.rows, rs.pendingTomb)
 		if rs.hooks.tomb != nil {
 			if err := rs.hooks.tomb(rs.pendingTomb); err != nil {
 				return err
@@ -346,7 +344,6 @@ func (rs *replayState) onCommit(p []byte) error {
 		}
 		rs.rows -= len(rs.pendingTomb)
 		rs.epoch = epoch
-		rs.epochs = append(rs.epochs, Epoch{OldToNew: oldToNew})
 		rs.pendingTomb, rs.hasTomb = nil, false
 	}
 	if int(totalRows) != rs.rows {

@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -58,7 +58,6 @@ func (st *fileState) fill(fresh *fileState) {
 	st.schema = fresh.schema
 	st.rows = fresh.rows
 	st.epoch = fresh.epoch
-	st.epochs = fresh.epochs
 	st.dictLens = fresh.dictLens
 	st.rolling = fresh.rolling
 }
@@ -69,7 +68,7 @@ func (st *fileState) fill(fresh *fileState) {
 // tombstones to the handler one at a time — nothing beyond the current
 // chunk is resident. A backend that has not cached the dataset's
 // write-side state fills it from the same replay.
-func (b *FileBackend) Stream(name string, h StreamHandler) ([]Epoch, error) {
+func (b *FileBackend) Stream(name string, h StreamHandler) (int, error) {
 	st := b.lockEntry(name)
 	fresh, err := b.load(name, replayHooks{begin: h.Begin, chunk: h.Chunk, tomb: h.Tombstone})
 	if err != nil {
@@ -78,13 +77,13 @@ func (b *FileBackend) Stream(name string, h StreamHandler) ([]Epoch, error) {
 		} else {
 			st.mu.Unlock()
 		}
-		return nil, err
+		return 0, err
 	}
 	defer st.mu.Unlock()
 	if st.schema == nil {
 		st.fill(fresh)
 	}
-	return fresh.epochs, nil
+	return fresh.epoch, nil
 }
 
 // validateCodes rejects categorical values that are not integral codes
@@ -106,23 +105,6 @@ func validateCodes(schema *dataset.Schema, ch ColumnChunk, dictLens []int) error
 		}
 	}
 	return nil
-}
-
-// oldToNewMap builds a deletion epoch's row-id mapping: rows is the
-// pre-epoch row count, ids the sorted unique tombstoned ids.
-func oldToNewMap(rows int, ids []int) []int {
-	oldToNew := make([]int, rows)
-	next, ti := 0, 0
-	for r := 0; r < rows; r++ {
-		if ti < len(ids) && ids[ti] == r {
-			oldToNew[r] = -1
-			ti++
-			continue
-		}
-		oldToNew[r] = next
-		next++
-	}
-	return oldToNew
 }
 
 // appendBlocks appends one epoch's sealed blocks to the dataset file and
@@ -178,7 +160,6 @@ func (b *FileBackend) AppendEpoch(name string, ch ColumnChunk) error {
 	}
 	st.rows += ch.Rows
 	st.epoch++
-	st.epochs = append(st.epochs, Epoch{Appended: ch.Rows})
 	for c, delta := range ch.DictDelta {
 		st.dictLens[c] += len(delta)
 	}
@@ -187,32 +168,27 @@ func (b *FileBackend) AppendEpoch(name string, ch ColumnChunk) error {
 }
 
 // DeleteEpoch implements Backend: a tombstone block plus commit manifest
-// in one fsynced write.
+// in one fsynced write. Its cost tracks the id count, not the table.
 func (b *FileBackend) DeleteEpoch(name string, rowIDs []int) error {
 	st, err := b.lockState(name)
 	if err != nil {
 		return err
 	}
 	defer st.mu.Unlock()
-	seen := make(map[int]bool, len(rowIDs))
-	ids := make([]int, 0, len(rowIDs))
-	for _, id := range rowIDs {
+	ids := slices.Clone(rowIDs)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, id := range ids {
 		if id < 0 || id >= st.rows {
 			return fmt.Errorf("store: delete row %d out of range (%d rows)", id, st.rows)
 		}
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
 	}
-	sort.Ints(ids)
 	w := newBlockBuf(st.rolling)
 	w.block(kindTombstone, tombstonePayload(ids))
 	w.block(kindCommit, commitPayload(epochDelete, st.epoch+1, st.rows-len(ids), 0, w.rolling))
 	if err := b.appendBlocks(name, st, w.buf); err != nil {
 		return err
 	}
-	st.epochs = append(st.epochs, Epoch{OldToNew: oldToNewMap(st.rows, ids)})
 	st.rows -= len(ids)
 	st.epoch++
 	st.rolling = w.rolling

@@ -14,13 +14,14 @@
 // assignment all survive — which is what lets an engine rebuilt from a
 // snapshot produce byte-identical releases; the property suite pins it.
 //
-// Two backends ship: FileBackend, the embedded single-file-per-dataset
+// FileBackend is the one backend: the embedded single-file-per-dataset
 // persistent store (columnar segments, dictionary pages, an append-only
-// epoch log, checksummed commit manifests — see file.go for the format
-// and the crash-safety contract), and MemBackend, an in-memory
-// implementation of the same contract for tests and ephemeral use. The
-// in-memory QI matrix and EMD prefix spaces remain the hot path; the
-// store only feeds and persists them.
+// epoch log of chunks and tombstones, checksummed commit manifests — see
+// file.go for the format and the crash-safety contract). It keeps no
+// old→new row-id maps: the tombstone blocks are all a reload needs, and a
+// reopened engine starts with an empty warm cache, so nothing would replay
+// them. The in-memory QI matrix and EMD prefix spaces remain the hot path;
+// the store only feeds and persists them.
 package store
 
 import (
@@ -44,18 +45,6 @@ type ColumnChunk struct {
 	// DictDelta holds newly introduced dictionary labels per column (nil
 	// for numeric columns and for chunks introducing none).
 	DictDelta [][]string
-}
-
-// Epoch is one durable entry of a dataset's epoch log, mirroring the
-// engine's own append/tombstone transitions so a reopened engine can
-// replay the history it had before the restart.
-type Epoch struct {
-	// Appended is the number of records an append epoch added (0 for
-	// deletion epochs).
-	Appended int
-	// OldToNew maps the previous epoch's row ids to this epoch's (-1 for
-	// tombstoned rows); nil for append epochs, whose ids are stable.
-	OldToNew []int
 }
 
 // SnapshotWriter streams the epoch-0 snapshot of a new dataset into a
@@ -97,11 +86,11 @@ type Backend interface {
 	// name is taken.
 	Create(name string, schema *dataset.Schema) (SnapshotWriter, error)
 	// Stream replays the dataset's full committed history — chunks and
-	// tombstones interleaved in commit order — and returns the replayable
-	// epoch log. It is the store's only read path: Load rebuilds the table
-	// through it, and it holds one chunk at a time plus whatever the
-	// handler retains. See StreamHandler.
-	Stream(name string, h StreamHandler) ([]Epoch, error)
+	// tombstones interleaved in commit order — and returns the number of
+	// the last committed epoch (0 for a bare snapshot). It is the store's
+	// only read path: Load rebuilds the table through it, and it holds one
+	// chunk at a time plus whatever the handler retains. See StreamHandler.
+	Stream(name string, h StreamHandler) (int, error)
 	// AppendEpoch durably records an append epoch: the chunk holds the
 	// appended records and any dictionary labels they introduced.
 	AppendEpoch(name string, ch ColumnChunk) error
@@ -138,17 +127,17 @@ var (
 )
 
 // Load materializes a dataset from its committed history: the table with
-// every committed epoch applied, plus the replayable epoch log. It replays
-// Backend.Stream into a table pre-grown to the final row count, applying
-// each chunk's dictionary delta and values and each tombstone's deletion
-// in commit order.
-func Load(b Backend, name string) (*dataset.Table, []Epoch, error) {
+// every committed epoch applied, plus the number of the last committed
+// epoch. It replays Backend.Stream into a table pre-grown to the final row
+// count, applying each chunk's dictionary delta and values and each
+// tombstone's deletion in commit order.
+func Load(b Backend, name string) (*dataset.Table, int, error) {
 	var l loader
-	epochs, err := b.Stream(name, l.handler())
+	epoch, err := b.Stream(name, l.handler())
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	return l.tbl, epochs, nil
+	return l.tbl, epoch, nil
 }
 
 // loader is the replay state of Load.

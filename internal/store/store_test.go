@@ -14,14 +14,39 @@ import (
 	"repro/internal/synth"
 )
 
-// backends returns one fresh instance of every Backend implementation.
-func backends(t *testing.T) map[string]Backend {
+// newBackend returns a file store over a fresh directory.
+func newBackend(t *testing.T) *FileBackend {
 	t.Helper()
-	fb, err := NewFileBackend(t.TempDir())
+	b, err := NewFileBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Backend{"file": fb, "mem": NewMemBackend()}
+	return b
+}
+
+// reopen returns a fresh backend over b's directory: a process restart,
+// with nothing cached.
+func reopen(t *testing.T, b *FileBackend) *FileBackend {
+	t.Helper()
+	fresh, err := NewFileBackend(b.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// tombstones returns the row ids of every deletion epoch Stream replays,
+// in commit order.
+func tombstones(t *testing.T, b Backend, name string) [][]int {
+	t.Helper()
+	var out [][]int
+	if _, err := b.Stream(name, StreamHandler{Tombstone: func(ids []int) error {
+		out = append(out, ids)
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // randomTable generates a table with adversarial content: mixed kinds,
@@ -108,113 +133,109 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
 		tbl := randomTable(rng)
-		for kind, b := range backends(t) {
-			name := fmt.Sprintf("ds-%d", trial)
-			if err := Write(b, name, tbl); err != nil {
-				t.Fatalf("%s trial %d: %v", kind, trial, err)
-			}
-			got, epochs, err := Load(b, name)
-			if err != nil {
-				t.Fatalf("%s trial %d: %v", kind, trial, err)
-			}
-			if len(epochs) != 0 {
-				t.Fatalf("%s: fresh snapshot has %d epochs", kind, len(epochs))
-			}
-			requireTablesIdentical(t, tbl, got)
-			if fb, ok := b.(*FileBackend); ok {
-				fresh, err := NewFileBackend(fb.Dir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				reopened, _, err := Load(fresh, name)
-				if err != nil {
-					t.Fatalf("reopen trial %d: %v", trial, err)
-				}
-				requireTablesIdentical(t, tbl, reopened)
-			}
+		b := newBackend(t)
+		name := fmt.Sprintf("ds-%d", trial)
+		if err := Write(b, name, tbl); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
+		got, epoch, err := Load(b, name)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if epoch != 0 {
+			t.Fatalf("fresh snapshot at epoch %d", epoch)
+		}
+		requireTablesIdentical(t, tbl, got)
+		reopened, _, err := Load(reopen(t, b), name)
+		if err != nil {
+			t.Fatalf("reopen trial %d: %v", trial, err)
+		}
+		requireTablesIdentical(t, tbl, reopened)
 	}
 }
 
 // Epoch replay: a sequence of appends (with new dictionary labels) and
-// deletes must reproduce both the table and the epoch log, in-process
-// and across a reopen.
+// deletes must reproduce the table, the last epoch number and every
+// deletion's tombstoned ids, in-process and across a reopen.
 func TestEpochReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
 		tbl := randomTable(rng)
-		for kind, b := range backends(t) {
-			name := fmt.Sprintf("ds-%d", trial)
-			if err := Write(b, name, tbl); err != nil {
-				t.Fatal(err)
+		b := newBackend(t)
+		name := fmt.Sprintf("ds-%d", trial)
+		if err := Write(b, name, tbl); err != nil {
+			t.Fatal(err)
+		}
+		cur, wantTombs := randomEpochs(t, rng, b, name, tbl, nil)
+		check := func(label string, open Backend) {
+			got, epoch, err := Load(open, name)
+			if err != nil {
+				t.Fatalf("%s open: %v", label, err)
 			}
-			cur := tbl.Clone()
-			var wantEpochs []Epoch
-			for e := 0; e < 4; e++ {
-				if cur.Len() > 2 && rng.Intn(2) == 0 {
-					var ids []int
-					for r := 0; r < cur.Len(); r++ {
-						if rng.Intn(4) == 0 {
-							ids = append(ids, r)
-						}
-					}
-					if err := b.DeleteEpoch(name, ids); err != nil {
-						t.Fatalf("%s delete: %v", kind, err)
-					}
-					wantEpochs = append(wantEpochs, Epoch{OldToNew: oldToNewMap(cur.Len(), ids)})
-					cur = withoutRows(t, cur, ids)
-					continue
-				}
-				from, lens := cur.Len(), DictLens(cur)
-				n := 1 + rng.Intn(10)
-				for r := 0; r < n; r++ {
-					vals := make([]any, cur.Width())
-					for c := 0; c < cur.Width(); c++ {
-						if cur.Schema().Attr(c).Kind == dataset.Categorical {
-							vals[c] = fmt.Sprintf("new-%d-%d-%d", e, r, rng.Intn(3))
-						} else {
-							vals[c] = rng.NormFloat64()
-						}
-					}
-					if err := cur.AppendRow(vals...); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := AppendRows(b, name, cur, from, lens); err != nil {
-					t.Fatalf("%s append: %v", kind, err)
-				}
-				wantEpochs = append(wantEpochs, Epoch{Appended: n})
+			requireTablesIdentical(t, cur, got)
+			if epoch != 4 {
+				t.Fatalf("%s: last epoch %d, want 4", label, epoch)
 			}
-			check := func(label string, open Backend) {
-				got, epochs, err := Load(open, name)
-				if err != nil {
-					t.Fatalf("%s %s open: %v", kind, label, err)
-				}
-				requireTablesIdentical(t, cur, got)
-				if len(epochs) != len(wantEpochs) {
-					t.Fatalf("%s %s: %d epochs, want %d", kind, label, len(epochs), len(wantEpochs))
-				}
-				for i := range epochs {
-					if epochs[i].Appended != wantEpochs[i].Appended {
-						t.Fatalf("%s %s epoch %d: appended %d, want %d",
-							kind, label, i, epochs[i].Appended, wantEpochs[i].Appended)
-					}
-					if fmt.Sprint(epochs[i].OldToNew) != fmt.Sprint(wantEpochs[i].OldToNew) {
-						t.Fatalf("%s %s epoch %d: oldToNew %v, want %v",
-							kind, label, i, epochs[i].OldToNew, wantEpochs[i].OldToNew)
-					}
-				}
-			}
-			check("live", b)
-			if fb, ok := b.(*FileBackend); ok {
-				fresh, err := NewFileBackend(fb.Dir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("reopened", fresh)
+			if got := tombstones(t, open, name); fmt.Sprint(got) != fmt.Sprint(wantTombs) {
+				t.Fatalf("%s: tombstones %v, want %v", label, got, wantTombs)
 			}
 		}
+		check("live", b)
+		check("reopened", reopen(t, b))
 	}
+}
+
+// randomEpochs commits four random epochs to the dataset: each is a
+// deletion of about a quarter of the rows or an append of 1-10 rows with
+// new dictionary labels. It returns the table after them and the ids each
+// deletion tombstoned; events, when non-nil, also gets one "chunk n" or
+// "tombstone [ids]" line per epoch.
+func randomEpochs(t *testing.T, rng *rand.Rand, b Backend, name string, tbl *dataset.Table, events *[]string) (*dataset.Table, [][]int) {
+	t.Helper()
+	cur := tbl.Clone()
+	var tombs [][]int
+	note := func(format string, arg any) {
+		if events != nil {
+			*events = append(*events, fmt.Sprintf(format, arg))
+		}
+	}
+	for e := 0; e < 4; e++ {
+		if cur.Len() > 2 && rng.Intn(2) == 0 {
+			var ids []int
+			for r := 0; r < cur.Len(); r++ {
+				if rng.Intn(4) == 0 {
+					ids = append(ids, r)
+				}
+			}
+			if err := b.DeleteEpoch(name, ids); err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+			tombs = append(tombs, ids)
+			note("tombstone %v", ids)
+			cur = withoutRows(t, cur, ids)
+			continue
+		}
+		from, lens := cur.Len(), DictLens(cur)
+		n := 1 + rng.Intn(10)
+		for r := 0; r < n; r++ {
+			vals := make([]any, cur.Width())
+			for c := 0; c < cur.Width(); c++ {
+				if cur.Schema().Attr(c).Kind == dataset.Categorical {
+					vals[c] = fmt.Sprintf("new-%d-%d-%d", e, r, rng.Intn(3))
+				} else {
+					vals[c] = rng.NormFloat64()
+				}
+			}
+			if err := cur.AppendRow(vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := AppendRows(b, name, cur, from, lens); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		note("chunk %d", n)
+	}
+	return cur, tombs
 }
 
 // datasetFile writes a snapshot plus one append epoch and returns the
@@ -278,13 +299,13 @@ func TestTornTailRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, epochs, err := Load(b, "ds")
+		tbl, epoch, err := Load(b, "ds")
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		if tbl.Len() != snapRows || len(epochs) != 0 {
-			t.Fatalf("cut at %d: %d rows / %d epochs, want snapshot state %d/0",
-				cut, tbl.Len(), len(epochs), snapRows)
+		if tbl.Len() != snapRows || epoch != 0 {
+			t.Fatalf("cut at %d: %d rows at epoch %d, want snapshot state %d/0",
+				cut, tbl.Len(), epoch, snapRows)
 		}
 	}
 	// Untouched file still has the append epoch.
@@ -292,12 +313,12 @@ func TestTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := NewFileBackend(dir)
-	tbl, epochs, err := Load(b, "ds")
+	tbl, epoch, err := Load(b, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != snapRows+1 || len(epochs) != 1 {
-		t.Fatalf("full file: %d rows / %d epochs", tbl.Len(), len(epochs))
+	if tbl.Len() != snapRows+1 || epoch != 1 {
+		t.Fatalf("full file: %d rows at epoch %d", tbl.Len(), epoch)
 	}
 }
 
@@ -349,63 +370,59 @@ func TestCorruptAndTruncated(t *testing.T) {
 }
 
 func TestBackendErrors(t *testing.T) {
-	for kind, b := range backends(t) {
-		if _, _, err := Load(b, "nope"); !errors.Is(err, ErrUnknownDataset) {
-			t.Errorf("%s: open missing: %v", kind, err)
-		}
-		if err := b.Remove("nope"); !errors.Is(err, ErrUnknownDataset) {
-			t.Errorf("%s: remove missing: %v", kind, err)
-		}
-		tbl := randomTable(rand.New(rand.NewSource(3)))
-		if err := Write(b, "ds", tbl); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Create("ds", tbl.Schema()); !errors.Is(err, ErrExists) {
-			t.Errorf("%s: duplicate create: %v", kind, err)
-		}
-		if err := b.DeleteEpoch("ds", []int{tbl.Len() + 5}); err == nil {
-			t.Errorf("%s: out-of-range delete accepted", kind)
-		}
-		names, err := b.List()
-		if err != nil || len(names) != 1 || names[0] != "ds" {
-			t.Errorf("%s: list %v, %v", kind, names, err)
-		}
-		if err := b.Remove("ds"); err != nil {
-			t.Errorf("%s: remove: %v", kind, err)
-		}
-		if names, _ := b.List(); len(names) != 0 {
-			t.Errorf("%s: list after remove: %v", kind, names)
-		}
+	b := newBackend(t)
+	if _, _, err := Load(b, "nope"); !errors.Is(err, ErrUnknownDataset) {
+		t.Errorf("open missing: %v", err)
+	}
+	if err := b.Remove("nope"); !errors.Is(err, ErrUnknownDataset) {
+		t.Errorf("remove missing: %v", err)
+	}
+	tbl := randomTable(rand.New(rand.NewSource(3)))
+	if err := Write(b, "ds", tbl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Create("ds", tbl.Schema()); !errors.Is(err, ErrExists) {
+		t.Errorf("duplicate create: %v", err)
+	}
+	if err := b.DeleteEpoch("ds", []int{tbl.Len() + 5}); err == nil {
+		t.Error("out-of-range delete accepted")
+	}
+	names, err := b.List()
+	if err != nil || len(names) != 1 || names[0] != "ds" {
+		t.Errorf("list %v, %v", names, err)
+	}
+	if err := b.Remove("ds"); err != nil {
+		t.Errorf("remove: %v", err)
+	}
+	if names, _ := b.List(); len(names) != 0 {
+		t.Errorf("list after remove: %v", names)
 	}
 }
 
 // An aborted snapshot must leave nothing behind and free the name.
 func TestSnapshotAbort(t *testing.T) {
-	for kind, b := range backends(t) {
-		tbl := randomTable(rand.New(rand.NewSource(4)))
-		w, err := b.Create("ds", tbl.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, werr := b.Create("ds", tbl.Schema()); !errors.Is(werr, ErrExists) {
-			t.Errorf("%s: concurrent create of pending name: %v", kind, werr)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if names, _ := b.List(); len(names) != 0 {
-			t.Errorf("%s: aborted snapshot is listed: %v", kind, names)
-		}
-		if err := Write(b, "ds", tbl); err != nil {
-			t.Errorf("%s: name not freed after abort: %v", kind, err)
-		}
-		if fb, ok := b.(*FileBackend); ok {
-			ents, _ := os.ReadDir(fb.Dir())
-			for _, e := range ents {
-				if filepath.Ext(e.Name()) == ".tmp" {
-					t.Errorf("temp file left behind: %s", e.Name())
-				}
-			}
+	b := newBackend(t)
+	tbl := randomTable(rand.New(rand.NewSource(4)))
+	w, err := b.Create("ds", tbl.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, werr := b.Create("ds", tbl.Schema()); !errors.Is(werr, ErrExists) {
+		t.Errorf("concurrent create of pending name: %v", werr)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := b.List(); len(names) != 0 {
+		t.Errorf("aborted snapshot is listed: %v", names)
+	}
+	if err := Write(b, "ds", tbl); err != nil {
+		t.Errorf("name not freed after abort: %v", err)
+	}
+	ents, _ := os.ReadDir(b.Dir())
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("temp file left behind: %s", e.Name())
 		}
 	}
 }
@@ -422,27 +439,26 @@ func TestIngestCSVMatchesReadCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, b := range backends(t) {
-		const budget = 16 << 10
-		stats, err := IngestCSV(b, "ds", bytes.NewReader(buf.Bytes()), budget)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if stats.Rows != src.Len() {
-			t.Fatalf("%s: ingested %d rows, want %d", kind, stats.Rows, src.Len())
-		}
-		if stats.Chunks < 2 {
-			t.Fatalf("%s: budget %d did not force chunking (%d chunks)", kind, budget, stats.Chunks)
-		}
-		if stats.MaxBufferedBytes > budget {
-			t.Fatalf("%s: buffered %d bytes, budget %d", kind, stats.MaxBufferedBytes, budget)
-		}
-		got, _, err := Load(b, "ds")
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireTablesIdentical(t, want, got)
+	b := newBackend(t)
+	const budget = 16 << 10
+	stats, err := IngestCSV(b, "ds", bytes.NewReader(buf.Bytes()), budget)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if stats.Rows != src.Len() {
+		t.Fatalf("ingested %d rows, want %d", stats.Rows, src.Len())
+	}
+	if stats.Chunks < 2 {
+		t.Fatalf("budget %d did not force chunking (%d chunks)", budget, stats.Chunks)
+	}
+	if stats.MaxBufferedBytes > budget {
+		t.Fatalf("buffered %d bytes, budget %d", stats.MaxBufferedBytes, budget)
+	}
+	got, _, err := Load(b, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTablesIdentical(t, want, got)
 }
 
 // The headline contract: a million-row CSV ingests under a bounded

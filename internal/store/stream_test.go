@@ -15,98 +15,56 @@ import (
 
 // Stream must replay the committed history — the snapshot chunk, then
 // each epoch's chunk or tombstone, in commit order — and Load, which
-// rebuilds the table from that replay, must reproduce the table and epoch
-// log the test maintains itself, on both backends, across random epoch
-// histories.
+// rebuilds the table from that replay, must reproduce the table and last
+// epoch number the test maintains itself, across random epoch histories.
 func TestStreamReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 15; trial++ {
 		tbl := randomTable(rng)
-		for kind, b := range backends(t) {
-			name := fmt.Sprintf("ds-%d", trial)
-			if err := Write(b, name, tbl); err != nil {
-				t.Fatal(err)
-			}
-			cur := tbl.Clone()
-			var wantEpochs []Epoch
-			wantEvents := []string{fmt.Sprintf("chunk %d", tbl.Len())}
-			for e := 0; e < 4; e++ {
-				if cur.Len() > 2 && rng.Intn(2) == 0 {
-					var ids []int
-					for r := 0; r < cur.Len(); r++ {
-						if rng.Intn(4) == 0 {
-							ids = append(ids, r)
-						}
-					}
-					if err := b.DeleteEpoch(name, ids); err != nil {
-						t.Fatalf("%s delete: %v", kind, err)
-					}
-					wantEpochs = append(wantEpochs, Epoch{OldToNew: oldToNewMap(cur.Len(), ids)})
-					wantEvents = append(wantEvents, fmt.Sprintf("tombstone %v", ids))
-					cur = withoutRows(t, cur, ids)
-					continue
-				}
-				from, lens := cur.Len(), DictLens(cur)
-				n := 1 + rng.Intn(10)
-				for r := 0; r < n; r++ {
-					vals := make([]any, cur.Width())
-					for c := 0; c < cur.Width(); c++ {
-						if cur.Schema().Attr(c).Kind == dataset.Categorical {
-							vals[c] = fmt.Sprintf("new-%d-%d-%d", e, r, rng.Intn(3))
-						} else {
-							vals[c] = rng.NormFloat64()
-						}
-					}
-					if err := cur.AppendRow(vals...); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := AppendRows(b, name, cur, from, lens); err != nil {
-					t.Fatalf("%s append: %v", kind, err)
-				}
-				wantEpochs = append(wantEpochs, Epoch{Appended: n})
-				wantEvents = append(wantEvents, fmt.Sprintf("chunk %d", n))
-			}
+		b := newBackend(t)
+		name := fmt.Sprintf("ds-%d", trial)
+		if err := Write(b, name, tbl); err != nil {
+			t.Fatal(err)
+		}
+		wantEvents := []string{fmt.Sprintf("chunk %d", tbl.Len())}
+		cur, _ := randomEpochs(t, rng, b, name, tbl, &wantEvents)
 
-			var events []string
-			beginRows := -1
-			if _, err := b.Stream(name, StreamHandler{
-				Begin: func(_ *dataset.Schema, rows int) error {
-					beginRows = rows
-					return nil
-				},
-				Chunk: func(ch ColumnChunk) error {
-					events = append(events, fmt.Sprintf("chunk %d", ch.Rows))
-					return nil
-				},
-				Tombstone: func(ids []int) error {
-					events = append(events, fmt.Sprintf("tombstone %v", ids))
-					return nil
-				},
-			}); err != nil {
-				t.Fatalf("%s stream: %v", kind, err)
-			}
-			if beginRows != cur.Len() {
-				t.Fatalf("%s: Begin rows hint %d, final table has %d", kind, beginRows, cur.Len())
-			}
-			if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
-				t.Fatalf("%s: stream events %v, want %v", kind, events, wantEvents)
-			}
+		var events []string
+		beginRows := -1
+		epoch, err := b.Stream(name, StreamHandler{
+			Begin: func(_ *dataset.Schema, rows int) error {
+				beginRows = rows
+				return nil
+			},
+			Chunk: func(ch ColumnChunk) error {
+				events = append(events, fmt.Sprintf("chunk %d", ch.Rows))
+				return nil
+			},
+			Tombstone: func(ids []int) error {
+				events = append(events, fmt.Sprintf("tombstone %v", ids))
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if epoch != 4 {
+			t.Fatalf("stream: last epoch %d, want 4", epoch)
+		}
+		if beginRows != cur.Len() {
+			t.Fatalf("Begin rows hint %d, final table has %d", beginRows, cur.Len())
+		}
+		if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
+			t.Fatalf("stream events %v, want %v", events, wantEvents)
+		}
 
-			got, epochs, err := Load(b, name)
-			if err != nil {
-				t.Fatalf("%s load: %v", kind, err)
-			}
-			requireTablesIdentical(t, cur, got)
-			if len(epochs) != len(wantEpochs) {
-				t.Fatalf("%s: load returned %d epochs, want %d", kind, len(epochs), len(wantEpochs))
-			}
-			for i := range epochs {
-				if epochs[i].Appended != wantEpochs[i].Appended ||
-					fmt.Sprint(epochs[i].OldToNew) != fmt.Sprint(wantEpochs[i].OldToNew) {
-					t.Fatalf("%s epoch %d: %+v, want %+v", kind, i, epochs[i], wantEpochs[i])
-				}
-			}
+		got, epoch, err := Load(b, name)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		requireTablesIdentical(t, cur, got)
+		if epoch != 4 {
+			t.Fatalf("load: last epoch %d, want 4", epoch)
 		}
 	}
 }
@@ -132,54 +90,55 @@ func withoutRows(t *testing.T, tbl *dataset.Table, ids []int) *dataset.Table {
 }
 
 // A snapshot committed with no chunk at all, followed by a deletion epoch
-// that removes nothing, must load as an empty table with that one epoch on
-// every backend — the tombstone replays against the table Begin made.
+// that removes nothing, must load as an empty table at epoch 1 — the
+// tombstone replays against the table Begin made.
 func TestLoadZeroChunkSnapshotThenDelete(t *testing.T) {
 	schema := randomTable(rand.New(rand.NewSource(14))).Schema()
-	for kind, b := range backends(t) {
-		w, err := b.Create("ds", schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.DeleteEpoch("ds", nil); err != nil {
-			t.Fatalf("%s delete: %v", kind, err)
-		}
-		tbl, epochs, err := Load(b, "ds")
-		if err != nil {
-			t.Fatalf("%s load: %v", kind, err)
-		}
-		if tbl == nil || tbl.Len() != 0 || !tbl.Schema().Equal(schema) {
-			t.Fatalf("%s: loaded %v, want an empty table over the schema", kind, tbl)
-		}
-		if len(epochs) != 1 || epochs[0].OldToNew == nil || len(epochs[0].OldToNew) != 0 {
-			t.Fatalf("%s: epochs %+v, want one empty deletion epoch", kind, epochs)
-		}
+	b := newBackend(t)
+	w, err := b.Create("ds", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteEpoch("ds", nil); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	tbl, epoch, err := Load(b, "ds")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if tbl == nil || tbl.Len() != 0 || !tbl.Schema().Equal(schema) {
+		t.Fatalf("loaded %v, want an empty table over the schema", tbl)
+	}
+	if epoch != 1 {
+		t.Fatalf("last epoch %d, want 1", epoch)
+	}
+	if tombs := tombstones(t, b, "ds"); len(tombs) != 1 || len(tombs[0]) != 0 {
+		t.Fatalf("tombstones %v, want one empty deletion", tombs)
 	}
 }
 
-// All-nil hooks are allowed: Stream then only returns the epoch log.
+// All-nil hooks are allowed: Stream then only returns the last epoch.
 func TestStreamNilHooks(t *testing.T) {
 	tbl := randomTable(rand.New(rand.NewSource(12)))
-	for kind, b := range backends(t) {
-		if err := Write(b, "ds", tbl); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.DeleteEpoch("ds", []int{0}); err != nil {
-			t.Fatal(err)
-		}
-		epochs, err := b.Stream("ds", StreamHandler{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if len(epochs) != 1 || epochs[0].OldToNew == nil {
-			t.Fatalf("%s: epochs %+v, want one deletion epoch", kind, epochs)
-		}
-		if _, err := b.Stream("missing", StreamHandler{}); !errors.Is(err, ErrUnknownDataset) {
-			t.Fatalf("%s: unknown dataset error %v", kind, err)
-		}
+	b := newBackend(t)
+	if err := Write(b, "ds", tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteEpoch("ds", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := b.Stream("ds", StreamHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 1 {
+		t.Fatalf("last epoch %d, want 1", epoch)
+	}
+	if _, err := b.Stream("missing", StreamHandler{}); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("unknown dataset error %v", err)
 	}
 }
 
@@ -225,7 +184,9 @@ func TestListSurfacesStrayFiles(t *testing.T) {
 // and one replay, each reading blocks into one reused buffer, so a Stream
 // with an empty handler allocates little beyond the decoded column values
 // themselves — on a fresh backend, whose write-side state the same replay
-// fills, and again once that state is cached.
+// fills, and again once that state is cached. The history with 50
+// deletion epochs pins that a tombstone's replay costs its ids, not a
+// remap of every row it renumbers.
 func TestStreamAllocatesOnce(t *testing.T) {
 	tbl := synth.PatientDischarge(100000, synth.DefaultSeed)
 	dir := t.TempDir()
@@ -233,26 +194,76 @@ func TestStreamAllocatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(w, "pd", tbl); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"pd", "pd-deletes"} {
+		if err := Write(w, name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := tbl.Len()
+	for e := 0; e < 50; e++ {
+		if err := w.DeleteEpoch("pd-deletes", spreadIDs(10, rows)); err != nil {
+			t.Fatal(err)
+		}
+		rows -= 10
 	}
 	colBytes := float64(tbl.Len() * tbl.Width() * 8)
 	b, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pass := range []string{"fresh", "cached"} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		_, err := b.Stream("pd", StreamHandler{})
-		runtime.ReadMemStats(&after)
-		if err != nil {
+	for _, name := range []string{"pd", "pd-deletes"} {
+		for _, pass := range []string{"fresh", "cached"} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := b.Stream(name, StreamHandler{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio := float64(after.TotalAlloc-before.TotalAlloc) / colBytes; ratio > 1.25 {
+				t.Errorf("%s, %s backend: Stream allocated %.2fx the %.1f MB of column values, want <= 1.25x",
+					name, pass, ratio, colBytes/1e6)
+			}
+		}
+	}
+}
+
+// spreadIDs returns n distinct row ids spread evenly over rows.
+func spreadIDs(n, rows int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i * (rows / n)
+	}
+	return ids
+}
+
+// TestDeleteEpochAllocatesByIDs pins DeleteEpoch's cost to the ids it
+// tombstones: on a 100k-row dataset whose write-side state is cached, a
+// 100-id deletion allocates a few words per id plus a fixed overhead for
+// the write, nothing proportional to the rows.
+func TestDeleteEpochAllocatesByIDs(t *testing.T) {
+	tbl := synth.PatientDischarge(100000, synth.DefaultSeed)
+	b := newBackend(t)
+	if err := Write(b, "pd", tbl); err != nil {
+		t.Fatal(err)
+	}
+	const ids, reps = 100, 5
+	rows := tbl.Len()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if err := b.DeleteEpoch("pd", spreadIDs(ids, rows)); err != nil {
 			t.Fatal(err)
 		}
-		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / colBytes; ratio > 1.25 {
-			t.Errorf("%s backend: Stream allocated %.2fx the %.1f MB of column values, want <= 1.25x",
-				pass, ratio, colBytes/1e6)
-		}
+		rows -= ids
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / reps
+	t.Logf("DeleteEpoch of %d ids on %d rows allocates %d B", ids, tbl.Len(), perCall)
+	if limit := uint64(64*ids + 8<<10); perCall > limit {
+		t.Errorf("DeleteEpoch of %d ids on %d rows allocated %d B, want <= %d B",
+			ids, tbl.Len(), perCall, limit)
 	}
 }

@@ -64,7 +64,7 @@ func (prep *Prepared) defaultPartition(ctx context.Context, k int) ([]micro.Clus
 		return c, nil
 	}
 	prep.cacheMu.Unlock()
-	clusters, err := micro.MDAVMatrixCtx(ctx, prep.mat, k)
+	clusters, err := micro.MDAV(ctx, prep.mat, k)
 	if err != nil {
 		return nil, err
 	}

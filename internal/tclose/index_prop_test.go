@@ -1,6 +1,7 @@
 package tclose
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestMergeHeapMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clusters, err := micro.MDAV(p.pointsCopy(), tc.k)
+		clusters, err := micro.MDAV(context.Background(), micro.NewMatrix(p.pointsCopy()), tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}

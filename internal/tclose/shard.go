@@ -162,7 +162,7 @@ func (p *problem) shardMDAV(rows []int) ([]micro.Cluster, error) {
 	tun := p.mat.TuningOf()
 	tun.Workers = 1
 	sub.SetTuning(tun)
-	parts, err := micro.MDAVMatrixCtx(p.run.Ctx, sub, p.k)
+	parts, err := micro.MDAV(p.run.Ctx, sub, p.k)
 	if err != nil {
 		return nil, err
 	}

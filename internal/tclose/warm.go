@@ -188,7 +188,7 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		}
 		sub := micro.NewMatrix(pts)
 		sub.SetTuning(p.mat.TuningOf())
-		parts, err := micro.MDAVMatrixCtx(p.run.Ctx, sub, effK)
+		parts, err := micro.MDAV(p.run.Ctx, sub, effK)
 		if err != nil {
 			return nil, nil, err
 		}

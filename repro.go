@@ -110,17 +110,15 @@
 //	err = eng.Append(rows...)
 //
 //	// After a crash or restart: Open restores the same table (bit for
-//	// bit — verify with repro.TableHash), the same epoch counter, and a
-//	// replayable epoch log, so releases are byte-identical to the
-//	// pre-restart engine's.
+//	// bit — verify with repro.TableHash) and the same epoch counter, so
+//	// releases are byte-identical to the pre-restart engine's.
 //	eng, err = repro.Open(st, "patients")
 //
 // The store is an implementation of the append-only block-log format
 // documented in internal/store (columnar segments, dictionary pages,
 // checksummed commit manifests); a torn tail from a crash rolls back to
-// the last committed epoch on reopen. MemStore provides the same
-// contract in memory. Engines without a store behave exactly as before —
-// the in-memory path stays the hot path.
+// the last committed epoch on reopen. Engines without a store behave
+// exactly as before — the in-memory path stays the hot path.
 //
 // # Serving
 //
@@ -248,8 +246,8 @@ const (
 // documentation and the internal/store package for the file format and
 // crash-safety contract.
 type (
-	// Store is a persistent (or in-memory) columnar dataset backend with
-	// durable epoch history.
+	// Store is a persistent columnar dataset backend with durable epoch
+	// history.
 	Store = store.Backend
 	// IngestStats reports what a streaming CSV ingest did, including the
 	// chunk buffer's high-water mark (the memory-budget contract).
@@ -260,12 +258,8 @@ type (
 // rooted at dir: one append-only checksummed file per dataset.
 func FileStore(dir string) (Store, error) { return store.NewFileBackend(dir) }
 
-// MemStore returns an in-memory Store with the same contract as
-// FileStore, for tests and ephemeral use.
-func MemStore() Store { return store.NewMemBackend() }
-
 // Open rebuilds a stored dataset from its committed history and prepares
-// an engine over it once, with its epoch history restored; Append/Delete
+// an engine over it once, with its epoch counter restored; Append/Delete
 // on the opened engine persist durably before becoming visible. See
 // core.Open.
 func Open(s Store, name string, opts ...Option) (*Engine, error) { return core.Open(s, name, opts...) }
