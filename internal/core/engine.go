@@ -93,8 +93,8 @@ type Option func(*Engine)
 // WithWorkers caps the goroutine fan-out of every parallel seam of this
 // engine: the distance scans and spatial-index builds, and — since the
 // partition loops were sharded — Algorithm 1's merge partner scans,
-// Algorithm 2's swap-candidate scoring and per-cluster distance fills,
-// Algorithm 3's per-subset draws and SABRE's per-bucket draws. Every seam
+// Algorithm 2's per-cluster distance fills, Algorithm 3's per-subset draws
+// and SABRE's per-bucket draws. Every seam
 // reduces in a fixed order on the serial tie keys, so partitions and
 // releases are bit-identical for any value (the worker-sweep and golden
 // conformance tests pin this); set 1 to force fully serial execution.

@@ -643,28 +643,10 @@ func (h *Hist) AbsDev() int64 {
 // usesRunDecomposition reports whether ordered same-size swap queries on
 // the current histogram state take the run-decomposition path (which
 // lazily builds the per-size crossing cache) rather than the flat O(m)
-// walk. It is the single source of truth for that branch — shared by the
-// query paths and WarmSwapCache so the warmed caches always cover exactly
-// the caches a query may build.
+// walk. It is the single source of truth for that branch, shared by the
+// query paths.
 func (h *Hist) usesRunDecomposition() bool {
 	return len(h.occ)*occFlatFactor < h.space.m
-}
-
-// WarmSwapCache forces the lazy caches a swap query may otherwise build on
-// first use — the deviation numerator and the per-size crossing table — so
-// that subsequent EMDSwap/EMDSwapAbsDev calls against the *unchanged*
-// histogram are pure reads. That is the concurrency contract of Algorithm
-// 2's parallel eviction scoring: warm once on the owning goroutine, then
-// fan out read-only swap evaluations; any mutation (Add/Remove/Swap/Merge)
-// ends the read-only phase.
-func (h *Hist) WarmSwapCache() {
-	if h.space.m < 2 || h.size == 0 {
-		return
-	}
-	h.ensureAbsDev()
-	if !h.space.nominal && h.usesRunDecomposition() {
-		h.ensureCross()
-	}
 }
 
 // EMDSwapAbsDev is EMDSwap restricted to true same-size swaps (out and in

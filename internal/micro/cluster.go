@@ -14,12 +14,11 @@
 //
 // # Performance
 //
-// MDAV — and, through the shared Searcher/Stream substrate, the
-// t-closeness partitioners of package tclose and the SABRE baseline — run
-// their hot neighbor queries (Farthest, Nearest, KNearest, and the
-// nearest-first candidate stream) against a deletable k-d tree over the
-// normalized quasi-identifier cube instead of an O(remaining) linear scan
-// per query:
+// MDAV — and, through the shared Searcher substrate, the t-closeness
+// partitioners of package tclose and the SABRE baseline — run their hot
+// neighbor queries (Farthest, Nearest, KNearest) against a deletable k-d
+// tree over the normalized quasi-identifier cube instead of an
+// O(remaining) linear scan per query:
 //
 //   - The tree (KDTree) is bucketed (kdLeafSize-record leaves scanned over
 //     a tree-ordered contiguous coordinate copy), built once per partition
@@ -27,12 +26,12 @@
 //     matrix's worker budget for large inputs — and supports O(log n)
 //     deletion via per-subtree alive counts, matching the partition loops
 //     that retire k records per round.
-//   - Nearest, KNearest and the stream prune subtrees with exact
-//     branch-and-bound bounds: the bounding-box distance (exact in floating
-//     point by per-dimension term domination and rounding monotonicity)
-//     combined with a triangle-inequality annulus bound around a per-tree
-//     pivot (conservatively rounded by kdEps), which retains pruning power
-//     in higher dimensions where boxes alone degrade. Farthest scans the
+//   - Nearest and KNearest prune subtrees with exact branch-and-bound
+//     bounds: the bounding-box distance (exact in floating point by
+//     per-dimension term domination and rounding monotonicity) combined
+//     with a triangle-inequality annulus bound around a per-tree pivot
+//     (conservatively rounded by kdEps), which retains pruning power in
+//     higher dimensions where boxes alone degrade. Farthest scans the
 //     rows in descending pivot distance and stops on the same kind of
 //     triangle-inequality bound, so it prunes at every dimensionality.
 //   - NewSearcher builds the tree only for candidate sets of at least the
@@ -49,11 +48,14 @@
 // property tests in kdtree_test.go enforce this, including after deletions
 // and on adversarially duplicated point sets.
 //
-// The candidate Stream adds two regime switches on the linear path, both
-// invisible to consumers: a drain that radix-sorts the remainder once a
-// consumer has taken streamDrainAt candidates, and a presort mode that
-// skips the lazy heap outright after presortStreak consecutive drained
-// streams (the steady state of Algorithm 2 at tight t levels).
+// The nearest-first candidate Stream (Algorithm 2's swap candidates) is a
+// linear pass at every dimensionality and candidate-set size: one distance
+// fill, then a lazy heap. Two regime switches, both invisible to
+// consumers, cut its cost when consumption is heavy: a drain that
+// radix-sorts the remainder once a consumer has taken streamDrainAt
+// candidates, and a presort mode that skips the lazy heap outright after
+// presortStreak consecutive drained streams (the steady state of Algorithm
+// 2 at tight t levels).
 package micro
 
 import (

@@ -8,8 +8,7 @@ import (
 
 // This file implements the spatial-index neighbor substrate: a bucketed k-d
 // tree over a fixed candidate row set of a Matrix, supporting deletion and
-// exact Nearest / Farthest / KNearest queries plus an incremental
-// nearest-first candidate stream.
+// exact Nearest / Farthest / KNearest queries.
 //
 // Determinism contract: every query breaks ties in exact (distance, rank)
 // order, where rank is the position of the row in the slice the tree was
@@ -17,8 +16,8 @@ import (
 // reorder them), the rank order of the surviving rows always coincides with
 // their relative order in the caller's shrinking candidate slice, so every
 // query returns bit-identically the same row the linear scan over that slice
-// would have returned. Nearest, KNearest and the stream prune subtrees by
-// a lower bound: the bounding-box distance, exact in floating point (each
+// would have returned. Nearest and KNearest prune subtrees by a lower
+// bound: the bounding-box distance, exact in floating point (each
 // per-dimension gap term of minDist2 is a lower bound of the corresponding
 // term of RowDist2, the terms are accumulated in the same dimension order,
 // and float64 addition and squaring are monotone under rounding), or the
@@ -213,11 +212,11 @@ func NewKDTree(m *Matrix, rows []int) *KDTree {
 	// radix sort, read backwards.
 	byRad := make([]drainEntry, n)
 	for rk, r2 := range b.rad2 {
-		byRad[rk] = drainEntry{d: r2, tie: int32(rk), row: int32(rk)}
+		byRad[rk] = drainEntry{d: r2, row: int32(rk)}
 	}
 	var tmp []drainEntry
 	var counts []int32
-	byRad = radixSortDrain(byRad, &tmp, &counts, false)
+	byRad = radixSortDrain(byRad, &tmp, &counts)
 	t.far = make([]int32, n)
 	t.farRad = make([]float64, n)
 	t.farPts = make([]float64, n*dim)

@@ -209,11 +209,10 @@ func TestKDTreeMatchesLinearReference(t *testing.T) {
 }
 
 // TestStreamMatchesSortedOrder drains Searcher streams fully and checks the
-// emission order equals the exact (distance, build position) sort of the
-// alive rows, across the lazy-head, drain, and presort modes and both the
-// indexed and linear paths. Crossover and point dimensionality are varied
-// so low-dimensional runs exercise the k-d stream and high-dimensional runs
-// the linear one.
+// emission order equals the exact (distance, row) sort of the alive rows,
+// across the lazy-head, drain, and presort modes of the linear stream.
+// Point dimensionality is varied, and every other trial builds the Searcher
+// indexed, whose stream must stay the same linear pass over the slice.
 func TestStreamMatchesSortedOrder(t *testing.T) {
 	defer func(d, p int) { streamDrainAt, presortStreak = d, p }(streamDrainAt, presortStreak)
 	// Force the drain escape hatch and the presort mode on small candidate
@@ -230,9 +229,7 @@ func TestStreamMatchesSortedOrder(t *testing.T) {
 		}
 		m := NewMatrix(pts)
 		if trial%2 == 0 {
-			m.SetTuning(Tuning{IndexCrossover: 1}) // force the tree
-		} else {
-			m.SetTuning(Tuning{IndexCrossover: 1 << 30}) // force the linear path
+			m.SetTuning(Tuning{IndexCrossover: 1})
 		}
 		search := m.NewSearcher(rows)
 		ref := &kdRef{pts: pts, rows: rows}

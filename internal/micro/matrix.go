@@ -344,17 +344,16 @@ type RunningCentroid struct {
 	buf []float64
 }
 
-// NewRunningCentroid sums every row of the matrix.
-func NewRunningCentroid(m *Matrix) *RunningCentroid {
+// NewRunningCentroid sums the given rows of the matrix, in slice order.
+func NewRunningCentroid(m *Matrix, rows []int) *RunningCentroid {
 	rc := &RunningCentroid{
 		m:   m,
 		sum: make([]float64, m.dim),
 		buf: make([]float64, m.dim),
-		cnt: m.n,
+		cnt: len(rows),
 	}
-	for i := 0; i < m.n; i++ {
-		row := m.Row(i)
-		for j, v := range row {
+	for _, r := range rows {
+		for j, v := range m.Row(r) {
 			rc.sum[j] += v
 		}
 	}
@@ -440,6 +439,16 @@ func (m *Matrix) CentroidRows(rows []int, dst []float64) []float64 {
 		dst[j] *= inv
 	}
 	return dst
+}
+
+// AllRows returns the ascending row set 0..n-1, the candidate set every
+// partition loop starts from.
+func AllRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // CompactRows returns rows minus those marked in dead, preserving order and

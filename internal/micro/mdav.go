@@ -38,11 +38,8 @@ func MDAV(ctx context.Context, m *Matrix, k int) ([]Cluster, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	rc := NewRunningCentroid(m)
+	remaining := AllRows(n)
+	rc := NewRunningCentroid(m, remaining)
 	search := m.NewSearcher(remaining)
 	// remaining keeps extracted rows (marked in dead) until exact() drops
 	// them; rc counts the rows still unclustered.

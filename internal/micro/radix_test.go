@@ -7,8 +7,9 @@ import (
 )
 
 // TestRadixDrainIsolated pins the stable LSD radix sort of drained stream
-// remainders to a comparison sort, on heavy-tie keys, across both the
-// 11-bit (small array) and 16-bit (large array) digit widths.
+// remainders to a stable comparison sort on the distance alone, on
+// heavy-tie keys, across both the 11-bit (small array) and 16-bit (large
+// array) digit widths: equal distances must keep their input (row) order.
 func TestRadixDrainIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -18,21 +19,16 @@ func TestRadixDrainIsolated(t *testing.T) {
 		}
 		a := make([]drainEntry, n)
 		for i := range a {
-			a[i] = drainEntry{d: float64(rng.Intn(50)) * 0.25, tie: int32(rng.Intn(3000)), row: int32(i)}
+			a[i] = drainEntry{d: float64(rng.Intn(50)) * 0.25, row: int32(i)}
 		}
 		want := append([]drainEntry(nil), a...)
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i].d != want[j].d {
-				return want[i].d < want[j].d
-			}
-			return want[i].tie < want[j].tie
-		})
+		sort.SliceStable(want, func(i, j int) bool { return want[i].d < want[j].d })
 		var tmp []drainEntry
 		var counts []int32
-		got := radixSortDrain(a, &tmp, &counts, true)
+		got := radixSortDrain(a, &tmp, &counts)
 		for i := range got {
-			if got[i].d != want[i].d || got[i].tie != want[i].tie {
-				t.Fatalf("trial %d n=%d: mismatch at %d", trial, n, i)
+			if got[i] != want[i] {
+				t.Fatalf("trial %d n=%d: mismatch at %d: got %v want %v", trial, n, i, got[i], want[i])
 			}
 		}
 	}

@@ -8,11 +8,12 @@ import (
 )
 
 // Searcher routes the partition loops' hot neighbor queries — Farthest,
-// Nearest, KNearest, and the nearest-first candidate Stream — either through
-// a deletable k-d tree over the candidate rows or through the linear Matrix
-// scans, whichever the candidate-set size warrants. Both paths return
-// bit-identical results (the property tests enforce it), so the crossover is
-// purely a performance knob.
+// Nearest and KNearest — either through a deletable k-d tree over the
+// candidate rows or through the linear Matrix scans, whichever the
+// candidate-set size warrants. Both paths return bit-identical results (the
+// property tests enforce it), so the crossover is purely a performance
+// knob. It also serves the nearest-first candidate Stream, which is always
+// a linear pass over the caller's slice.
 //
 // The caller keeps its candidate slice and passes it to every query. When
 // the Searcher is unindexed the slice is the scan domain: it must contain
@@ -21,8 +22,8 @@ import (
 // (Indexed, fixed at construction) the tree tracks liveness itself via
 // Remove and Farthest, Nearest and KNearest ignore the slice, so a caller
 // may leave removed rows in it and compact only when a linear reader needs
-// the exact rows. Stream in linear mode (above kdWideDimLimit dimensions)
-// reads the slice even when indexed, so its callers keep it exact.
+// the exact rows. Stream reads the slice whether or not the Searcher is
+// indexed, so its callers keep it exact.
 //
 // Shard handout: a single Searcher is not safe for concurrent use (it owns
 // mutable liveness and stream scratch), but distinct Searchers over the
@@ -34,10 +35,10 @@ type Searcher struct {
 	m    *Matrix
 	tree *KDTree
 	// buildRows retains the build order until the tree is actually built:
-	// construction is lazy, triggered by the first query whose shape the
-	// tree helps (see ensureTree), so a Searcher that only ever streams in
-	// linear mode never pays for a build. pending accumulates removals
-	// issued before the build and is replayed into the fresh tree.
+	// construction is lazy, triggered by the first tree query (see
+	// ensureTree), so a Searcher that only ever streams never pays for a
+	// build. pending accumulates removals issued before the build and is
+	// replayed into the fresh tree.
 	buildRows []int
 	pending   []int
 	// cache, when non-nil, supplies the tree as a clone of a shared master
@@ -170,16 +171,6 @@ func (s *Searcher) ensureTree() *KDTree {
 // pending a lazy build). It is fixed when the Searcher is made.
 func (s *Searcher) Indexed() bool { return s.tree != nil || s.buildRows != nil }
 
-// StreamIndexed reports whether Stream would traverse the k-d tree rather
-// than run in linear mode — true only below the wide-query dimensionality
-// limit with an index available. Callers with their own ordering structures
-// (e.g. Algorithm 2's interval-jump refinement) use it to take over exactly
-// the regime where a stream would pay for a full linear distance pass
-// anyway.
-func (s *Searcher) StreamIndexed() bool {
-	return s.m.dim <= kdWideDimLimit && s.Indexed()
-}
-
 // Remove deletes rows from the index. Removals issued before the lazy build
 // are deferred and replayed; unindexed Searchers ignore them — the caller's
 // candidate slice is the only liveness state the linear scans need.
@@ -235,13 +226,15 @@ func (s *Searcher) KNearest(rows []int, p []float64, k int) []int {
 	return s.m.KNearest(rows, p, k)
 }
 
-// Stream returns the candidate rows in ascending (distance to p, tie) order
+// Stream returns the candidate rows in ascending (distance to p, row) order
 // one at a time, lazily: consumers that stop early pay only for what they
 // take, while consumers that keep going trip the drain escape hatch (see
-// Stream.Next). The rows slice must not change while the stream is in use,
-// and no rows may be removed from the Searcher until the stream is
-// abandoned. Streams reuse scratch buffers owned by the Searcher, so only
-// one stream may be live per Searcher.
+// Stream.Next). It computes every distance in candidate order, then
+// heapifies a copy and pops it lazily; the rows slice must be in ascending
+// row order (as every partition loop's is), which makes candidate order the
+// tie order a drain relies on. The rows slice must not change while the
+// stream is in use. Streams reuse scratch buffers owned by the Searcher, so
+// only one stream may be live per Searcher.
 func (s *Searcher) Stream(rows []int, p []float64) *Stream {
 	st := &s.stream
 	// Close out the previous stream's drain history. A lazy stream that
@@ -263,31 +256,17 @@ func (s *Searcher) Stream(rows []int, p []float64) *Stream {
 	st.restPos = 0
 	st.lin = nil
 	st.presorted = false
-	if s.m.dim <= kdWideDimLimit {
-		if tree := s.ensureTree(); tree != nil {
-			st.kd.t = tree
-			st.kd.q = tree.newQuery(p)
-			st.kd.pq = st.kd.pq[:0]
-			st.kd.push(kdSEntry{d: tree.lowerBound2(0, &st.kd.q), node: 0})
-			st.total = tree.Len()
-			return st
-		}
-	}
-	// Linear mode: precompute every distance in candidate order, then
-	// heapify a copy and pop lazily in (distance, row) order — for the
-	// ascending row sets the partition loops use, identical to
-	// (distance, position) order. The pristine array stays in candidate
-	// (tie) order so a drain can collect the remainder already tie-sorted.
 	if cap(s.linBuf) < len(rows) {
 		s.linBuf = make([]distRow, len(rows))
 		s.linHeap = make([]distRow, len(rows))
 	}
+	// The pristine array stays in candidate (tie) order so a drain can
+	// collect the remainder already tie-sorted. The distance fill fans out
+	// across the matrix's worker budget for large candidate sets (each
+	// chunk writes disjoint slots of the same values, so the result is
+	// bit-identical at any worker count).
 	ds := s.linBuf[:len(rows)]
-	// The distance fill fans out across the matrix's worker budget for
-	// large candidate sets (each chunk writes disjoint slots of the same
-	// values, so the result is bit-identical at any worker count).
 	s.m.fillDists(ds, rows, p)
-	st.kd.t = nil
 	st.total = len(rows)
 	if s.drainStreak >= presortStreak && len(rows) > 2*streamDrainAt {
 		// Recent streams all blew through their lazy heads: skip the heap
@@ -299,11 +278,10 @@ func (s *Searcher) Stream(rows []int, p []float64) *Stream {
 		w := s.m.scanWorkers(len(ds))
 		par.Chunks(len(ds), w, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := ds[i]
-				rem[i] = drainEntry{d: e.d, tie: int32(e.row), row: int32(e.row)}
+				rem[i] = drainEntry{d: ds[i].d, row: int32(ds[i].row)}
 			}
 		})
-		st.rest = st.finishDrain(rem, false)
+		st.rest = st.finishDrain(rem)
 		st.presorted = true
 		return st
 	}
@@ -313,19 +291,6 @@ func (s *Searcher) Stream(rows []int, p []float64) *Stream {
 	st.lin.init()
 	return st
 }
-
-// kdWideDimLimit is the dimensionality above which the nearest-first
-// Stream stops using the k-d tree. A stream must keep every subtree whose
-// lower bound crosses its emission front, and in higher dimensions box and
-// annulus bounds are loose enough (every box is "close" to every query)
-// that the traversal touches most of the tree while paying per-node
-// constants; the flat linear pass is strictly cheaper there. The other
-// queries keep the tree at any dimension: Nearest/KNearest because their
-// incumbent ball collapses after the first leaf, Farthest because it stops
-// on the pivot bound, not on boxes. The measured crossover for the stream
-// sits between 3 and 4 dimensions on uniform cubes and on the Patient
-// Discharge mixed-cardinality geometry.
-const kdWideDimLimit = 3
 
 // presortStreak is the number of consecutive heavily-consumed streams after
 // which the next stream skips the lazy heap and radix-sorts everything up
@@ -341,22 +306,20 @@ var presortStreak = 8
 // and materializes the remainder into one radix-sorted array: popping R
 // candidates off a priority queue costs O(R·log R) with cache-hostile
 // constants, while the radix sort is O(R) over contiguous memory. The
-// switch preserves the exact (distance, tie) emission order, so it is
+// switch preserves the exact (distance, row) emission order, so it is
 // invisible to the consumer. A variable so tests can force drains on small
 // candidate sets.
 var streamDrainAt = 384
 
-// Stream yields rows in exact ascending (distance, tie) order; see
+// Stream yields rows in exact ascending (distance, row) order; see
 // Searcher.Stream.
 type Stream struct {
 	s         *Searcher
-	kd        kdStream
-	lin       linStream // lazy binary heap of the linear mode; nil in indexed mode
+	lin       linStream // lazy binary heap; nil once drained or presorted
 	presorted bool      // remainder materialized at creation, not by a drain
 	emitted   int
-	// emittedRows records the rows emitted by an indexed stream's lazy
-	// phase so a drain can exclude them (linear drains exclude the head of
-	// lin instead).
+	// emittedRows records the rows the lazy heap emitted so a drain can
+	// exclude them from the pristine candidate array.
 	emittedRows []int32
 	total       int
 	rest        []drainEntry // radix-sorted remainder after the drain switch
@@ -379,57 +342,44 @@ func (st *Stream) Next() (row int, ok bool) {
 		return st.Next()
 	}
 	st.emitted++
-	if st.lin != nil {
-		row, ok = st.lin.next()
-		if ok {
-			st.emittedRows = append(st.emittedRows, int32(row))
-		}
-		return row, ok
+	row, ok = st.lin.next()
+	if ok {
+		st.emittedRows = append(st.emittedRows, int32(row))
 	}
-	return st.kd.next()
+	return row, ok
 }
 
-// drain materializes every not-yet-emitted candidate and sorts it into
-// exact (distance, tie) order with a stable LSD radix sort over the
-// distance bits. Linear streams collect the remainder from the pristine
-// candidate-order array (already tie-ordered, so stability alone fixes
-// ties); indexed streams collect arbitrary-order entries from the traversal
-// queue and radix-sort the tie key first.
+// drain materializes every not-yet-emitted candidate from the pristine
+// candidate-order array — already in row order, so the stable LSD radix
+// sort over the distance bits alone fixes ties — and switches the stream
+// to it.
 func (st *Stream) drain() {
-	var rem []drainEntry
-	sortTies := false
-	if st.lin != nil {
-		mark := st.s.emitMark
-		if len(mark) < st.s.m.n {
-			mark = make([]bool, st.s.m.n)
-			st.s.emitMark = mark
-		}
-		for _, r := range st.emittedRows {
-			mark[r] = true
-		}
-		rem = growDrain(&st.s.drainA, 0)[:0]
-		for _, e := range st.s.linBuf[:st.total] {
-			if !mark[e.row] {
-				rem = append(rem, drainEntry{d: e.d, tie: int32(e.row), row: int32(e.row)})
-			}
-		}
-		st.s.drainA = rem
-		for _, r := range st.emittedRows {
-			mark[r] = false
-		}
-		st.lin = nil
-	} else {
-		rem = st.kd.collectRest(growDrain(&st.s.drainA, 0)[:0])
-		st.s.drainA = rem
-		sortTies = true
+	mark := st.s.emitMark
+	if len(mark) < st.s.m.n {
+		mark = make([]bool, st.s.m.n)
+		st.s.emitMark = mark
 	}
-	st.rest = st.finishDrain(rem, sortTies)
+	for _, r := range st.emittedRows {
+		mark[r] = true
+	}
+	rem := growDrain(&st.s.drainA, 0)[:0]
+	for _, e := range st.s.linBuf[:st.total] {
+		if !mark[e.row] {
+			rem = append(rem, drainEntry{d: e.d, row: int32(e.row)})
+		}
+	}
+	st.s.drainA = rem
+	for _, r := range st.emittedRows {
+		mark[r] = false
+	}
+	st.lin = nil
+	st.rest = st.finishDrain(rem)
 }
 
 // finishDrain radix-sorts the materialized remainder and records the drain
 // in the Searcher's streak.
-func (st *Stream) finishDrain(rem []drainEntry, sortTies bool) []drainEntry {
-	sorted := radixSortDrain(rem, &st.s.drainTmp, &st.s.radixCounts, sortTies)
+func (st *Stream) finishDrain(rem []drainEntry) []drainEntry {
+	sorted := radixSortDrain(rem, &st.s.drainTmp, &st.s.radixCounts)
 	// The radix passes ping-pong between the two scratch buffers, so the
 	// sorted result may live in either; reanchor them so the next drain
 	// never aliases its source and destination.
@@ -441,11 +391,9 @@ func (st *Stream) finishDrain(rem []drainEntry, sortTies bool) []drainEntry {
 	return sorted
 }
 
-// drainEntry is one materialized stream candidate: tie is the stream's
-// tie-break key (build rank for indexed streams, row id for linear ones).
+// drainEntry is one materialized stream candidate.
 type drainEntry struct {
 	d   float64
-	tie int32
 	row int32
 }
 
@@ -457,18 +405,17 @@ func growDrain(buf *[]drainEntry, n int) []drainEntry {
 	return *buf
 }
 
-// radixSortDrain sorts entries into ascending (d, tie) order with a stable
+// radixSortDrain sorts entries into ascending distance order with a stable
 // LSD radix sort over the float64 distance bits (all distances are
 // non-negative squared distances, whose IEEE-754 bit patterns order
-// identically to their values). When sortTies is false the input must
-// already be in ascending tie order — stability then resolves equal
-// distances for free; when true, tie-key passes run first. Digits whose
-// value is constant across the array are skipped. The digit width adapts to
-// the array: 11-bit digits keep the count array at 8 KiB for small drains
+// identically to their values). Stability keeps equal distances in input
+// order, so the input must already be in its tie order. Digits whose value
+// is constant across the array are skipped. The digit width adapts to the
+// array: 11-bit digits keep the count array at 8 KiB for small drains
 // (where clearing a 256 KiB count array would dominate), 16-bit digits
 // halve the number of passes once the data outweighs the clearing. tmp and
 // counts are scratch, grown as needed and kept for the next call.
-func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts *[]int32, sortTies bool) []drainEntry {
+func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts *[]int32) []drainEntry {
 	if len(a) < 2 {
 		return a
 	}
@@ -483,25 +430,12 @@ func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts *[]int32, sortTies
 	b := growDrain(tmp, len(a))
 	var orD, andD uint64
 	andD = ^uint64(0)
-	var orT, andT uint32
-	andT = ^uint32(0)
 	for _, e := range a {
 		db := math.Float64bits(e.d)
 		orD |= db
 		andD &= db
-		orT |= uint32(e.tie)
-		andT &= uint32(e.tie)
 	}
 	mask := uint32(1)<<bits - 1
-	if sortTies {
-		for shift := 0; shift < 32; shift += bits {
-			if (orT>>shift)&mask == (andT>>shift)&mask {
-				continue // constant digit: nothing to order
-			}
-			radixPassTie(a, b, cnt, shift, mask)
-			a, b = b, a
-		}
-	}
 	for shift := 0; shift < 64; shift += bits {
 		if uint32(orD>>uint(shift))&mask == uint32(andD>>uint(shift))&mask {
 			continue
@@ -511,24 +445,6 @@ func radixSortDrain(a []drainEntry, tmp *[]drainEntry, counts *[]int32, sortTies
 	}
 	*tmp = b
 	return a
-}
-
-func radixPassTie(src, dst []drainEntry, counts []int32, shift int, mask uint32) {
-	clear(counts)
-	for i := range src {
-		counts[(uint32(src[i].tie)>>shift)&mask]++
-	}
-	var sum int32
-	for i := range counts {
-		c := counts[i]
-		counts[i] = sum
-		sum += c
-	}
-	for i := range src {
-		d := (uint32(src[i].tie) >> shift) & mask
-		dst[counts[d]] = src[i]
-		counts[d]++
-	}
 }
 
 func radixPassDist(src, dst []drainEntry, counts []int32, shift int, mask uint32) {
@@ -588,138 +504,4 @@ func (h *linStream) next() (int, bool) {
 	*h = (*h)[:last]
 	h.siftDown(0)
 	return top, true
-}
-
-// kdStream is the best-first traversal of the k-d tree: a priority queue
-// holding both unexpanded subtrees (keyed by their bounding-box lower bound)
-// and concrete points (keyed by their exact distance). Popping in ascending
-// key order yields points in nondecreasing distance; at equal keys subtrees
-// expand before points emit, so every equal-distance point enters the queue
-// before the first of them leaves it and the (distance, rank) tie order is
-// exact.
-type kdStream struct {
-	t  *KDTree
-	q  kdQuery
-	pq []kdSEntry
-}
-
-// kdSEntry is a stream queue element: node >= 0 marks an unexpanded subtree,
-// node < 0 a point (row, rank valid).
-type kdSEntry struct {
-	d    float64
-	rank int32
-	node int32
-	row  int32
-}
-
-func (s *kdStream) less(a, b kdSEntry) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	an, bn := a.node >= 0, b.node >= 0
-	if an != bn {
-		return an // subtrees expand before equal-distance points emit
-	}
-	if an {
-		return a.node < b.node
-	}
-	return a.rank < b.rank
-}
-
-func (s *kdStream) push(e kdSEntry) {
-	s.pq = append(s.pq, e)
-	i := len(s.pq) - 1
-	for i > 0 {
-		par := (i - 1) / 2
-		if !s.less(s.pq[i], s.pq[par]) {
-			return
-		}
-		s.pq[i], s.pq[par] = s.pq[par], s.pq[i]
-		i = par
-	}
-}
-
-func (s *kdStream) pop() kdSEntry {
-	top := s.pq[0]
-	last := len(s.pq) - 1
-	s.pq[0] = s.pq[last]
-	s.pq = s.pq[:last]
-	i, n := 0, len(s.pq)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		next := l
-		if r := l + 1; r < n && s.less(s.pq[r], s.pq[l]) {
-			next = r
-		}
-		if !s.less(s.pq[next], s.pq[i]) {
-			break
-		}
-		s.pq[i], s.pq[next] = s.pq[next], s.pq[i]
-		i = next
-	}
-	return top
-}
-
-// collectRest appends every not-yet-emitted alive point to out: each such
-// point sits in exactly one pending queue entry — as a concrete point entry
-// or inside an unexpanded subtree — so one pass over the queue plus subtree
-// walks is exhaustive and duplicate-free.
-func (s *kdStream) collectRest(out []drainEntry) []drainEntry {
-	for _, e := range s.pq {
-		if e.node < 0 {
-			out = append(out, drainEntry{d: e.d, tie: e.rank, row: e.row})
-			continue
-		}
-		out = s.collectSubtree(e.node, out)
-	}
-	s.pq = s.pq[:0]
-	return out
-}
-
-func (s *kdStream) collectSubtree(ni int32, out []drainEntry) []drainEntry {
-	t := s.t
-	nd := &t.nodes[ni]
-	if nd.count == 0 {
-		return out
-	}
-	if nd.left < 0 {
-		for i := nd.start; i < nd.end; i++ {
-			if !t.alive[i] {
-				continue
-			}
-			out = append(out, drainEntry{d: t.dist2At(i, s.q.p), tie: t.rank[i], row: t.items[i]})
-		}
-		return out
-	}
-	out = s.collectSubtree(nd.left, out)
-	return s.collectSubtree(nd.right, out)
-}
-
-func (s *kdStream) next() (int, bool) {
-	t := s.t
-	for len(s.pq) > 0 {
-		e := s.pop()
-		if e.node < 0 {
-			return int(e.row), true
-		}
-		nd := &t.nodes[e.node]
-		if nd.count == 0 {
-			continue
-		}
-		if nd.left < 0 {
-			for i := nd.start; i < nd.end; i++ {
-				if !t.alive[i] {
-					continue
-				}
-				s.push(kdSEntry{d: t.dist2At(i, s.q.p), rank: t.rank[i], node: -1, row: t.items[i]})
-			}
-			continue
-		}
-		s.push(kdSEntry{d: t.lowerBound2(nd.left, &s.q), node: nd.left})
-		s.push(kdSEntry{d: t.lowerBound2(nd.right, &s.q), node: nd.right})
-	}
-	return -1, false
 }

@@ -97,16 +97,6 @@ func TestArgminPanicReRaisedOnCaller(t *testing.T) {
 		})
 	})
 	wantWorkerPanic(t, v, "eval boom")
-
-	v = recoverPanic(func() {
-		ArgminInt64(100, 4, nil, func(i int) int64 {
-			if i == 3 {
-				panic("eval64 boom")
-			}
-			return int64(i)
-		})
-	})
-	wantWorkerPanic(t, v, "eval64 boom")
 }
 
 // TestPoolPanicNoDeadlockNoLeak pins the three pool guarantees of the

@@ -1,7 +1,7 @@
 // Package par holds the small concurrency primitives shared by the
 // partition loops and the benchmark drivers: a bounded one-shot fan-out
 // (Cells), a reusable fixed-size worker pool (Pool) for loops that fan out
-// thousands of times, and order-stable argmin reductions whose results are
+// thousands of times, and an order-stable argmin reduction whose result is
 // bit-identical to the serial left-to-right scan at any worker count.
 //
 // # Panic isolation
@@ -290,51 +290,6 @@ func ArgminFloat64(n, workers int, eval func(i int) float64) int {
 		bestIdx[w], bestVal[w] = best, bestV
 	})
 	best, bestV := -1, 0.0
-	for w := 0; w < workers; w++ {
-		if bestIdx[w] >= 0 && (best < 0 || bestVal[w] < bestV) {
-			best, bestV = bestIdx[w], bestVal[w]
-		}
-	}
-	return best
-}
-
-// ArgminInt64 is ArgminFloat64 over int64 costs with an explicit skip
-// predicate: indices where skip(i) is true never win. It returns -1 when
-// every index is skipped.
-func ArgminInt64(n, workers int, skip func(i int) bool, eval func(i int) int64) int {
-	if workers < 2 || n < 2 {
-		best := -1
-		var bestV int64
-		for i := 0; i < n; i++ {
-			if skip != nil && skip(i) {
-				continue
-			}
-			if v := eval(i); best < 0 || v < bestV {
-				best, bestV = i, v
-			}
-		}
-		return best
-	}
-	if workers > n {
-		workers = n
-	}
-	bestIdx := make([]int, workers)
-	bestVal := make([]int64, workers)
-	Chunks(n, workers, func(w, lo, hi int) {
-		best := -1
-		var bestV int64
-		for i := lo; i < hi; i++ {
-			if skip != nil && skip(i) {
-				continue
-			}
-			if v := eval(i); best < 0 || v < bestV {
-				best, bestV = i, v
-			}
-		}
-		bestIdx[w], bestVal[w] = best, bestV
-	})
-	best := -1
-	var bestV int64
 	for w := 0; w < workers; w++ {
 		if bestIdx[w] >= 0 && (best < 0 || bestVal[w] < bestV) {
 			best, bestV = bestIdx[w], bestVal[w]

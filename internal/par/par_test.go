@@ -68,15 +68,10 @@ func TestArgminMatchesSerialScan(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
 		vals := make([]float64, n)
-		ivals := make([]int64, n)
-		skip := make([]bool, n)
 		for i := range vals {
-			v := float64(rng.Intn(5)) // heavy ties
-			vals[i] = v
-			ivals[i] = int64(rng.Intn(5))
-			skip[i] = rng.Intn(4) == 0
-			if skip[i] {
-				vals[i] = math.Inf(1)
+			vals[i] = float64(rng.Intn(5)) // heavy ties
+			if rng.Intn(4) == 0 {
+				vals[i] = math.Inf(1) // skipped
 			}
 		}
 		refF := -1
@@ -85,21 +80,9 @@ func TestArgminMatchesSerialScan(t *testing.T) {
 				refF = i
 			}
 		}
-		refI := -1
-		for i := range ivals {
-			if skip[i] {
-				continue
-			}
-			if refI < 0 || ivals[i] < ivals[refI] {
-				refI = i
-			}
-		}
 		for _, w := range sweep {
 			if got := ArgminFloat64(n, w, func(i int) float64 { return vals[i] }); got != refF {
 				t.Fatalf("trial %d workers=%d: ArgminFloat64 = %d, serial = %d", trial, w, got, refF)
-			}
-			if got := ArgminInt64(n, w, func(i int) bool { return skip[i] }, func(i int) int64 { return ivals[i] }); got != refI {
-				t.Fatalf("trial %d workers=%d: ArgminInt64 = %d, serial = %d", trial, w, got, refI)
 			}
 		}
 	}
@@ -111,9 +94,6 @@ func TestArgminAllSkipped(t *testing.T) {
 		// the first index is accepted (best < 0) and never displaced.
 		if got := ArgminFloat64(10, w, func(int) float64 { return math.Inf(1) }); got != 0 {
 			t.Fatalf("workers=%d: ArgminFloat64 all +Inf = %d, want 0", w, got)
-		}
-		if got := ArgminInt64(10, w, func(int) bool { return true }, func(int) int64 { return 0 }); got != -1 {
-			t.Fatalf("workers=%d: ArgminInt64 with all skipped = %d, want -1", w, got)
 		}
 		if got := ArgminFloat64(0, w, func(int) float64 { return 0 }); got != -1 {
 			t.Fatalf("workers=%d: ArgminFloat64 n=0 = %d, want -1", w, got)

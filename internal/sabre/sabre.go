@@ -284,7 +284,7 @@ func redistribute(ctx context.Context, t *dataset.Table, mat *micro.Matrix, orde
 	}
 	alive := append([]int(nil), order...)
 	global := mat.NewSearcher(alive)
-	rc := micro.NewRunningCentroid(mat)
+	rc := micro.NewRunningCentroid(mat, micro.AllRows(n))
 	scratch := make([]bool, n)
 	counts := drawCounts(n, m, buckets)
 	pool := par.NewPool(1)

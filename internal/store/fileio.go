@@ -80,11 +80,10 @@ func readBlock(r *bufio.Reader, remain int64, buf *[]byte) (kind byte, payload [
 type committed struct {
 	// end is the end offset of the last commit block.
 	end int64
-	// rows is the total row count the last commit declares, capped at
-	// what the committed segments can hold — the replay checks the
-	// declared count only when it reaches that commit, and Begin hands
-	// rows on as a preallocation hint.
-	rows int
+	// records is the number of records the committed segments hold,
+	// deleted ones included: what a replay delivers through its chunks,
+	// which Begin hands on as a preallocation hint.
+	records int
 }
 
 // scanValid walks the whole file verifying framing and checksums, and
@@ -105,7 +104,7 @@ func scanValid(r io.Reader, fileSize int64) (committed, error) {
 	var (
 		last   committed
 		width  uint64 // attribute count of the schema block
-		values uint64 // segment values so far, an upper bound on rows·width
+		values uint64 // segment values so far: records·width in a valid file
 		buf    []byte
 	)
 	for {
@@ -125,13 +124,15 @@ func scanValid(r io.Reader, fileSize int64) (committed, error) {
 		case kindSchema:
 			width = uint64(pr.u32())
 		case kindSegment:
-			values += uint64(len(payload)) / 8
+			if len(payload) >= 8 { // column and row count, then the values
+				values += uint64(len(payload)-8) / 8
+			}
 		case kindCommit:
 			pr.u8()
 			pr.u32()
-			last.end, last.rows = off, 0
+			last.end, last.records = off, 0
 			if width > 0 {
-				last.rows = int(min(pr.u64(), values/width))
+				last.records = int(values / width)
 			}
 		}
 	}
@@ -393,7 +394,7 @@ func replayCommitted(src io.Reader, region committed, hooks replayHooks) (*fileS
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}
-	rs := &replayState{hooks: hooks, beginRows: region.rows}
+	rs := &replayState{hooks: hooks, beginRows: region.records}
 	validEnd := region.end
 	off := int64(len(magic))
 	var buf []byte

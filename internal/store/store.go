@@ -62,8 +62,9 @@ type SnapshotWriter interface {
 
 // StreamHandler receives a dataset's committed history in commit order
 // during Backend.Stream. Any hook may be nil. Begin fires once, before
-// any content, with the schema and the final row count (after every
-// committed epoch — a preallocation hint for the table being rebuilt).
+// any content, with the schema and the number of records the Chunk calls
+// will deliver, tombstoned ones included — a preallocation hint for the
+// table being rebuilt.
 // Chunk fires for every snapshot and append-epoch chunk, Tombstone for
 // every deletion epoch, interleaved exactly as committed; tombstone row
 // ids are in the numbering of the epoch they were committed against,
@@ -128,21 +129,36 @@ var (
 
 // Load materializes a dataset from its committed history: the table with
 // every committed epoch applied, plus the number of the last committed
-// epoch. It replays Backend.Stream into a table pre-grown to the final row
-// count, applying each chunk's dictionary delta and values and each
-// tombstone's deletion in commit order.
+// epoch. It replays Backend.Stream into a table pre-grown to the replay's
+// record count, applying each chunk's dictionary delta and values in
+// commit order. A tombstone only drops its rows from the list of live
+// rows, so the table is copied once, after the replay, however many
+// deletion epochs the history holds.
 func Load(b Backend, name string) (*dataset.Table, int, error) {
 	var l loader
 	epoch, err := b.Stream(name, l.handler())
 	if err != nil {
 		return nil, 0, err
 	}
-	return l.tbl, epoch, nil
+	if !l.deleted {
+		return l.tbl, epoch, nil
+	}
+	tbl, err := l.tbl.Subset(l.liveRows())
+	if err != nil {
+		return nil, 0, err
+	}
+	return tbl, epoch, nil
 }
 
-// loader is the replay state of Load.
+// loader is the replay state of Load. tbl holds every replayed record;
+// once a tombstone is seen, live lists the rows of tbl still live, in
+// ascending order, which is the numbering tombstone ids are given in.
+// Rows appended after the last tombstone join live on the next one.
 type loader struct {
-	tbl *dataset.Table
+	tbl     *dataset.Table
+	live    []int
+	covered int // rows of tbl that live accounts for
+	deleted bool
 }
 
 func (l *loader) handler() StreamHandler {
@@ -169,23 +185,30 @@ func (l *loader) chunk(ch ColumnChunk) error {
 	return nil
 }
 
+// liveRows brings the live list up to date with the rows appended since
+// it was last read and returns it.
+func (l *loader) liveRows() []int {
+	for r := l.covered; r < l.tbl.Len(); r++ {
+		l.live = append(l.live, r)
+	}
+	l.covered = l.tbl.Len()
+	return l.live
+}
+
 // tombstone drops the given rows (ascending, unique, in range — the
-// StreamHandler contract).
+// StreamHandler contract) from the live list, in place.
 func (l *loader) tombstone(ids []int) error {
-	keep := make([]int, 0, l.tbl.Len()-len(ids))
+	l.deleted = true
+	kept := l.liveRows()[:0]
 	ti := 0
-	for r := 0; r < l.tbl.Len(); r++ {
-		if ti < len(ids) && ids[ti] == r {
+	for pos, r := range l.live {
+		if ti < len(ids) && ids[ti] == pos {
 			ti++
 			continue
 		}
-		keep = append(keep, r)
+		kept = append(kept, r)
 	}
-	sub, err := l.tbl.Subset(keep)
-	if err != nil {
-		return err
-	}
-	l.tbl = sub
+	l.live = kept
 	return nil
 }
 

@@ -30,7 +30,7 @@ func TestStreamReplayProperty(t *testing.T) {
 		cur, _ := randomEpochs(t, rng, b, name, tbl, &wantEvents)
 
 		var events []string
-		beginRows := -1
+		beginRows, chunkRows := -1, 0
 		epoch, err := b.Stream(name, StreamHandler{
 			Begin: func(_ *dataset.Schema, rows int) error {
 				beginRows = rows
@@ -38,6 +38,7 @@ func TestStreamReplayProperty(t *testing.T) {
 			},
 			Chunk: func(ch ColumnChunk) error {
 				events = append(events, fmt.Sprintf("chunk %d", ch.Rows))
+				chunkRows += ch.Rows
 				return nil
 			},
 			Tombstone: func(ids []int) error {
@@ -51,8 +52,8 @@ func TestStreamReplayProperty(t *testing.T) {
 		if epoch != 4 {
 			t.Fatalf("stream: last epoch %d, want 4", epoch)
 		}
-		if beginRows != cur.Len() {
-			t.Fatalf("Begin rows hint %d, final table has %d", beginRows, cur.Len())
+		if beginRows != chunkRows {
+			t.Fatalf("Begin rows hint %d, chunks delivered %d records", beginRows, chunkRows)
 		}
 		if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
 			t.Fatalf("stream events %v, want %v", events, wantEvents)
@@ -227,6 +228,66 @@ func TestStreamAllocatesOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadCopiesTableOnce pins Load's cost to the table, not to its
+// deletion history: tombstones drop rows from a list of live rows and the
+// table is copied once at the end, so a load after 50 ten-row deletion
+// epochs allocates about what a load after 10 does, and it yields the same
+// table as deleting the rows from the table in memory.
+func TestLoadCopiesTableOnce(t *testing.T) {
+	tbl := synth.PatientDischarge(100000, synth.DefaultSeed)
+	b := newBackend(t)
+	alloc := make(map[int]uint64)
+	for _, epochs := range []int{10, 50} {
+		name := fmt.Sprintf("pd-%d", epochs)
+		if err := Write(b, name, tbl); err != nil {
+			t.Fatal(err)
+		}
+		want := tbl
+		for e := 0; e < epochs; e++ {
+			ids := spreadIDs(10, want.Len())
+			if err := b.DeleteEpoch(name, ids); err != nil {
+				t.Fatal(err)
+			}
+			want = deleteRows(t, want, ids)
+		}
+		r := reopen(t, b)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		got, _, err := Load(r, name)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if TableHash(got) != TableHash(want) {
+			t.Fatalf("%d deletion epochs: loaded table differs from the in-memory deletions", epochs)
+		}
+		alloc[epochs] = after.TotalAlloc - before.TotalAlloc
+		t.Logf("Load after %d deletion epochs allocates %.1f MB", epochs, float64(alloc[epochs])/1e6)
+	}
+	if ratio := float64(alloc[50]) / float64(alloc[10]); ratio > 1.25 {
+		t.Errorf("Load after 50 deletion epochs allocated %.2fx what it did after 10, want <= 1.25x", ratio)
+	}
+}
+
+// deleteRows returns tbl without the given ascending row ids.
+func deleteRows(t *testing.T, tbl *dataset.Table, ids []int) *dataset.Table {
+	t.Helper()
+	keep := make([]int, 0, tbl.Len()-len(ids))
+	for r, ti := 0, 0; r < tbl.Len(); r++ {
+		if ti < len(ids) && ids[ti] == r {
+			ti++
+			continue
+		}
+		keep = append(keep, r)
+	}
+	sub, err := tbl.Subset(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
 }
 
 // spreadIDs returns n distinct row ids spread evenly over rows.

@@ -1,11 +1,8 @@
 package tclose
 
 import (
-	"math"
-
 	"repro/internal/emd"
 	"repro/internal/micro"
-	"repro/internal/par"
 )
 
 // Algorithm2 runs the paper's Algorithm 2 (k-anonymity-first t-closeness
@@ -29,7 +26,7 @@ func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	clusters, swaps, err := p.kAnonymityFirstPartition()
+	clusters, swaps, err := p.kAnonymityFirstPartition(micro.AllRows(p.table.Len()))
 	if err != nil {
 		return nil, err
 	}
@@ -46,35 +43,35 @@ func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error
 	}, nil
 }
 
-// kAnonymityFirstPartition builds clusters MDAV-style (around the record
-// farthest from the centroid of the unclustered records, then around the
-// record farthest from that one), refining each cluster with generateCluster
-// before moving on. The centroid of the unclustered records is maintained
-// incrementally (O(kd) per extracted cluster instead of an O(nd) rescan),
-// and both the farthest-seed queries and the candidate ordering run on a
-// micro.Searcher — a deletable k-d tree over the normalized QI cube for
-// large inputs, the linear scans below the crossover.
-// Cancellation is checked once per seed-pair round, so an abandoned run
-// stops within two cluster extractions.
-func (p *problem) kAnonymityFirstPartition() ([]micro.Cluster, int, error) {
-	n := p.table.Len()
-	avail := make([]int, n)
-	for i := range avail {
-		avail[i] = i
-	}
-	rc := micro.NewRunningCentroid(p.mat)
+// kAnonymityFirstPartition builds clusters over the rows of pool
+// MDAV-style (around the record farthest from the centroid of the
+// unclustered records, then around the record farthest from that one),
+// refining each cluster with generateCluster before moving on. The pool is
+// every row for a cold run, the repair frontier for WarmRepair and one k-d
+// shard for Algorithm2Sharded; it must be in ascending row order, the tie
+// order of every query, and is not modified. The centroid of the
+// unclustered records is maintained incrementally (O(kd) per extracted
+// cluster instead of an O(pool·d) rescan, exact below 128 rows), and the
+// farthest-seed queries and the candidate ordering run on a micro.Searcher
+// — a deletable k-d tree over the normalized QI cube for large pools, the
+// linear scans below the crossover. Cancellation is checked once per
+// seed-pair round, so an abandoned run stops within two cluster
+// extractions.
+func (p *problem) kAnonymityFirstPartition(pool []int) ([]micro.Cluster, int, error) {
+	avail := append([]int(nil), pool...)
+	rc := micro.NewRunningCentroid(p.mat, avail)
 	search := p.mat.NewSearcher(avail)
 	// The paper's headline configuration (k = 2, one ordered confidential
 	// attribute) runs on the interval-jump engine instead of the candidate
-	// stream whenever the stream would be linear-mode anyway (see
-	// swapjump.go): same partitions, no per-cluster distance sort.
+	// stream (see swapjump.go): same partitions, no per-cluster distance
+	// sort.
 	var jump *swapJump
-	if p.k == 2 && len(p.spaces) == 1 && !p.spaces[0].Nominal() && !search.StreamIndexed() {
-		jump = p.newSwapJump()
+	if p.k == 2 && len(p.spaces) == 1 && !p.spaces[0].Nominal() {
+		jump = p.newSwapJump(avail)
 	}
 	var clusters []micro.Cluster
 	swaps := 0
-	extract := func(x int) []int {
+	extract := func(x int) {
 		c, s := p.generateCluster(x, avail, search, jump)
 		swaps += s
 		avail = micro.FilterRows(avail, c, p.rowScratch)
@@ -84,7 +81,6 @@ func (p *problem) kAnonymityFirstPartition() ([]micro.Cluster, int, error) {
 		rc.RemoveRows(c)
 		search.Remove(c)
 		clusters = append(clusters, micro.Cluster{Rows: c})
-		return c
 	}
 	for len(avail) > 0 {
 		if err := p.interrupted(); err != nil {
@@ -97,7 +93,7 @@ func (p *problem) kAnonymityFirstPartition() ([]micro.Cluster, int, error) {
 		}
 		x1 := search.Farthest(avail, p.mat.Row(x0))
 		extract(x1)
-		p.reportProgress("partition", n-len(avail), n)
+		p.reportProgress("partition", len(pool)-len(avail), len(pool))
 	}
 	return clusters, swaps, nil
 }
@@ -125,11 +121,12 @@ func (p *problem) kAnonymityFirstPartition() ([]micro.Cluster, int, error) {
 // If fewer than 2k records remain, they all form the final cluster.
 //
 // Candidates come off the Searcher's nearest-first stream in exact
-// (distance, row) order: lazily from the k-d tree (or the linear heap) while
-// consumption is light, switching to one radix-sorted remainder array when a
-// cluster turns out to consume most of the candidate set — the regime of
-// tight t levels, where nearly every cluster exhausts all candidates without
-// reaching t and the finishing merge step does the rest.
+// (distance, row) order: lazily from a heap while consumption is light,
+// switching to one radix-sorted remainder array when a cluster turns out to
+// consume most of the candidate set — the regime of tight t levels, where
+// nearly every cluster exhausts all candidates without reaching t and the
+// finishing merge step does the rest. Clusters of the paper's k = 2
+// single-attribute configuration run on the interval-jump engine instead.
 func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, jump *swapJump) (cluster []int, swaps int) {
 	if len(avail) < 2*p.k {
 		return append([]int(nil), avail...), 0
@@ -148,53 +145,6 @@ func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, ju
 	sigOK := p.sigs != nil
 	if sigOK {
 		p.rejected.reset()
-	}
-	if p.k == 2 && len(hs) == 1 && !p.spaces[0].Nominal() {
-		// k = 2 over a single ordered confidential attribute — the paper's
-		// headline configuration. Every candidate swap leaves a two-record
-		// histogram whose deviation numerator has a closed form
-		// (emd.Space.TwoRecordAbsDev), so each evaluation is a handful of
-		// integer operations with no pointer chasing. The signature memos
-		// are dropped here: they only ever skip evaluations whose outcome
-		// is forced (same bin, same cluster state, same non-improvement),
-		// and with O(1) evaluations the bookkeeping costs more than the
-		// evaluations it saves. Decisions are bit-identical to the general
-		// path (integer comparisons, see emd.Hist.AbsDev).
-		h := hs[0]
-		sp := p.spaces[0]
-		u0, u1 := sp.Bin(cluster[0]), sp.Bin(cluster[1])
-		curNum := h.AbsDev()
-		for cur > p.t {
-			y, ok := stream.Next()
-			if !ok {
-				break
-			}
-			yb := sp.Bin(y)
-			bestIdx, bestNum := -1, curNum
-			if yb != u0 {
-				if d := sp.TwoRecordAbsDev(u1, yb); d < bestNum {
-					bestIdx, bestNum = 0, d
-				}
-			}
-			if u1 != u0 && yb != u1 {
-				if d := sp.TwoRecordAbsDev(u0, yb); d < bestNum {
-					bestIdx, bestNum = 1, d
-				}
-			}
-			if bestIdx >= 0 {
-				h.Swap(cluster[bestIdx], y)
-				cluster[bestIdx] = y
-				if bestIdx == 0 {
-					u0 = yb
-				} else {
-					u1 = yb
-				}
-				curNum = bestNum
-				cur = h.EMD()
-				swaps++
-			}
-		}
-		return cluster, swaps
 	}
 	if len(hs) == 1 {
 		// Single confidential attribute (the common case): every EMD in
@@ -249,29 +199,9 @@ func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, ju
 // scoreEvictionsInt returns the in-cluster eviction index whose swap with
 // candidate y minimizes the post-swap integer deviation numerator, or -1
 // when no swap strictly improves on the cluster's current numerator. Ties
-// break toward the lowest index and duplicate-signature members after the
-// first are skipped — exactly the serial left-to-right scan — and for
-// clusters at or above evictScanParMin the evaluations fan out across the
-// worker budget: the histogram's swap geometry is warmed once on the owning
-// goroutine (emd.Hist.WarmSwapCache), after which every evaluation is a
-// pure read, and the chunk-ordered argmin reduction reproduces the serial
-// winner bit-for-bit.
+// break toward the lowest index, and members after the first of each bin
+// signature are skipped (their swaps yield identical histograms).
 func (p *problem) scoreEvictionsInt(h *emd.Hist, cluster []int, y int, sigOK bool) int {
-	if p.workers >= 2 && len(cluster) >= evictScanParMin {
-		var skip func(int) bool
-		if sigOK {
-			mask := p.evictSkipMask(cluster)
-			skip = func(i int) bool { return mask[i] }
-		}
-		h.WarmSwapCache()
-		idx := par.ArgminInt64(len(cluster), p.workers, skip, func(i int) int64 {
-			return h.EMDSwapAbsDev(cluster[i], y)
-		})
-		if idx >= 0 && h.EMDSwapAbsDev(cluster[idx], y) < h.AbsDev() {
-			return idx
-		}
-		return -1
-	}
 	bestIdx, bestNum := -1, h.AbsDev()
 	if sigOK {
 		p.evaluated.reset()
@@ -290,29 +220,8 @@ func (p *problem) scoreEvictionsInt(h *emd.Hist, cluster []int, y int, sigOK boo
 // scoreEvictionsFloat is scoreEvictionsInt for the multi-attribute path,
 // where the post-swap cost is the maximum EMD across the histogram set and
 // comparisons run on floats. It additionally returns the winning cost (the
-// serial loop reuses it as the new current EMD).
+// caller reuses it as the new current EMD).
 func (p *problem) scoreEvictionsFloat(hs histSet, cluster []int, y int, cur float64, sigOK bool) (int, float64) {
-	if p.workers >= 2 && len(cluster) >= evictScanParMin {
-		var mask []bool
-		if sigOK {
-			mask = p.evictSkipMask(cluster)
-		}
-		for _, h := range hs {
-			h.WarmSwapCache()
-		}
-		idx := par.ArgminFloat64(len(cluster), p.workers, func(i int) float64 {
-			if mask != nil && mask[i] {
-				return math.Inf(1)
-			}
-			return hs.emdSwap(cluster[i], y)
-		})
-		if idx >= 0 && (mask == nil || !mask[idx]) {
-			if d := hs.emdSwap(cluster[idx], y); d < cur {
-				return idx, d
-			}
-		}
-		return -1, cur
-	}
 	bestIdx, bestEMD := -1, cur
 	if sigOK {
 		p.evaluated.reset()
@@ -326,21 +235,4 @@ func (p *problem) scoreEvictionsFloat(hs histSet, cluster []int, y int, cur floa
 		}
 	}
 	return bestIdx, bestEMD
-}
-
-// evictSkipMask marks duplicate-signature eviction candidates (every
-// occurrence of a signature after its first), the same pruning the serial
-// scan applies via the evaluated set, built serially so the parallel
-// evaluations never touch shared memo state. The returned slice is scratch
-// reused by the next call.
-func (p *problem) evictSkipMask(cluster []int) []bool {
-	if cap(p.evictSkip) < len(cluster) {
-		p.evictSkip = make([]bool, len(cluster))
-	}
-	p.evictSkip = p.evictSkip[:len(cluster)]
-	p.evaluated.reset()
-	for i, out := range cluster {
-		p.evictSkip[i] = p.evaluated.testAndSet(p.sigs[out])
-	}
-	return p.evictSkip
 }

@@ -56,11 +56,7 @@ func (prep *Prepared) Algorithm3(run Run, k int, tLevel float64) (*Result, error
 	kEff = emd.AdjustClusterSize(n, kEff)
 	if kEff >= n {
 		// A single cluster containing the whole data set: EMD is 0.
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		clusters := []micro.Cluster{{Rows: all}}
+		clusters := []micro.Cluster{{Rows: micro.AllRows(n)}}
 		return &Result{Clusters: clusters, MaxEMD: 0, EffectiveK: kEff}, nil
 	}
 	prep.cacheMu.Lock()
@@ -153,12 +149,9 @@ func (p *problem) tClosenessFirstPartition(k int) ([]micro.Cluster, error) {
 	// Live membership for centroid/farthest computations over the whole
 	// remaining data set; rc counts the live rows, subLive those of each
 	// subset.
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
+	remaining := micro.AllRows(n)
 	dead := make([]bool, n)
-	rc := micro.NewRunningCentroid(p.mat)
+	rc := micro.NewRunningCentroid(p.mat, remaining)
 	global := p.mat.NewSearcher(remaining)
 	subSearch := make([]*micro.Searcher, k)
 	subLive := make([]int, k)

@@ -1,6 +1,9 @@
 package tclose
 
-import "repro/internal/dataset"
+import (
+	"repro/internal/dataset"
+	"repro/internal/micro"
+)
 
 // cold turns a Prepared method into a one-call run: it prepares a fresh
 // substrate over the table and runs the method on it once, as a fresh
@@ -30,7 +33,7 @@ func alg2Standalone(prep *Prepared, run Run, k int, tl float64) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	clusters, swaps, err := p.kAnonymityFirstPartition()
+	clusters, swaps, err := p.kAnonymityFirstPartition(micro.AllRows(p.table.Len()))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package tclose
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -59,15 +60,12 @@ func referenceGenerateCluster(p *problem, points [][]float64, x int, avail []int
 	return cluster, swaps
 }
 
-// referenceKAnonymityFirstPartition is the pre-optimization outer loop:
-// fresh centroid rescan per round and map-based removal.
-func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
-	n := p.table.Len()
+// referenceKAnonymityFirstPartition is the pre-optimization outer loop
+// over an ascending row pool: fresh centroid rescan per round and map-based
+// removal.
+func referenceKAnonymityFirstPartition(p *problem, pool []int) ([]micro.Cluster, int) {
 	points := p.pointsCopy()
-	avail := make([]int, n)
-	for i := range avail {
-		avail[i] = i
-	}
+	avail := append([]int(nil), pool...)
 	removeSorted := func(avail, drop []int) []int {
 		dropSet := make(map[int]struct{}, len(drop))
 		for _, r := range drop {
@@ -132,17 +130,59 @@ func TestKAnonymityFirstPartitionMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition()
+				all := micro.AllRows(tbl.Len())
+				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition(all)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p)
+				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p, all)
 				if gotSwaps != wantSwaps {
 					t.Errorf("%s k=%d t=%v: swaps=%d want %d", name, k, tl, gotSwaps, wantSwaps)
 				}
 				if !reflect.DeepEqual(gotClusters, wantClusters) {
 					t.Fatalf("%s k=%d t=%v: partitions diverge\n got %v\nwant %v",
 						name, k, tl, gotClusters, wantClusters)
+				}
+			}
+		}
+	}
+}
+
+// TestPoolPartitionMatchesReference runs the partition loop over random
+// ascending row pools, the way the warm swap repair and the shards call it,
+// and compares it with the naive reference over the same pool. Pools of
+// 150–600 rows put the loop's centroid on the running sum (above 128
+// remaining rows) as well as on the exact rescan, and k = 2 runs the
+// interval-jump engine over a ranking restricted to the pool.
+func TestPoolPartitionMatchesReference(t *testing.T) {
+	tables := []struct {
+		name string
+		tbl  *dataset.Table
+	}{
+		{"patients", synth.PatientDischarge(900, 61)},
+		{"duplicates", duplicateHeavyTable(900, 62)},
+	}
+	rng := rand.New(rand.NewSource(63))
+	for _, tc := range tables {
+		for _, k := range []int{2, 3, 5} {
+			for _, tl := range []float64{0.05, 0.15, 0.35} {
+				pool := rng.Perm(tc.tbl.Len())[:150+rng.Intn(451)]
+				sort.Ints(pool)
+				p, err := newProblem(tc.tbl, k, tl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition(pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p, pool)
+				if gotSwaps != wantSwaps {
+					t.Errorf("%s k=%d t=%v pool=%d: swaps=%d want %d",
+						tc.name, k, tl, len(pool), gotSwaps, wantSwaps)
+				}
+				if !reflect.DeepEqual(gotClusters, wantClusters) {
+					t.Fatalf("%s k=%d t=%v pool=%d: partitions diverge", tc.name, k, tl, len(pool))
 				}
 			}
 		}
@@ -166,7 +206,7 @@ func TestAlgorithm2EndToEndMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refPart, _ := referenceKAnonymityFirstPartition(p)
+			refPart, _ := referenceKAnonymityFirstPartition(p, micro.AllRows(tbl.Len()))
 			refMerged, _, _, err := p.mergeUntilTClose(refPart)
 			if err != nil {
 				t.Fatal(err)

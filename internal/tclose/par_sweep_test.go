@@ -15,17 +15,16 @@ import (
 // for every algorithm and every worker count, the partition (and every
 // reported diagnostic) is bit-identical to the single-worker run. The
 // parallel-seam engagement floors are lowered so that even the small test
-// tables route through the sharded paths — merge partner scans, eviction
-// scoring, per-subset draws and the jump engine's chunked distance fills —
-// rather than their serial fallbacks.
+// tables route through the sharded paths — merge partner scans and
+// per-subset draws — rather than their serial fallbacks.
 
 // lowerParFloors forces every parallel seam open for the duration of a test.
 func lowerParFloors(t *testing.T) {
 	t.Helper()
-	oldMerge, oldEvict, oldDraw := mergePartnerParMin, evictScanParMin, alg3DrawParMinRows
-	mergePartnerParMin, evictScanParMin, alg3DrawParMinRows = 2, 2, 1
+	oldMerge, oldDraw := mergePartnerParMin, alg3DrawParMinRows
+	mergePartnerParMin, alg3DrawParMinRows = 2, 1
 	t.Cleanup(func() {
-		mergePartnerParMin, evictScanParMin, alg3DrawParMinRows = oldMerge, oldEvict, oldDraw
+		mergePartnerParMin, alg3DrawParMinRows = oldMerge, oldDraw
 	})
 }
 
@@ -37,7 +36,7 @@ func sweepWorkerCounts() []int {
 // duplicateHeavyTable builds an adversarial table whose records are drawn
 // from a handful of distinct tuples: distance ties are everywhere (stressing
 // the (distance, row) reductions) and confidential-bin signatures collide
-// constantly (stressing the eviction dedup masks).
+// constantly (stressing the eviction and rejection memos).
 func duplicateHeavyTable(n int, seed int64) *dataset.Table {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "A", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
@@ -155,15 +154,15 @@ func TestPartitionsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestEvictionScoringParallelLargeK drives Algorithm 2 with a cluster size
-// big enough that the eviction scoring shards even at the default floor,
-// and pins it to the sequential result.
+// TestEvictionScoringParallelLargeK drives Algorithm 2 with 64-record
+// clusters, so every refinement step scores 64 evictions, and pins the
+// result at 2 and 8 workers to the sequential one.
 func TestEvictionScoringParallelLargeK(t *testing.T) {
 	if testing.Short() {
-		t.Skip("parallel eviction sweep: slow property test")
+		t.Skip("large-k worker sweep: slow property test")
 	}
 	tbl := synth.Census(400, synth.Fica, 77)
-	k := evictScanParMin // default floor: the whole cluster scan fans out
+	k := 64
 	want, err := prepareWorkers(t, tbl, 1).Algorithm2(Run{}, k, 0.04)
 	if err != nil {
 		t.Fatal(err)
@@ -174,21 +173,26 @@ func TestEvictionScoringParallelLargeK(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Clusters, want.Clusters) || got.Swaps != want.Swaps {
-			t.Fatalf("workers=%d: large-k eviction scoring diverges from sequential", w)
+			t.Fatalf("workers=%d: large-k partition diverges from sequential", w)
 		}
 	}
 }
 
 // TestJumpEngineMatchesStreamPath pins the interval-jump refinement to the
-// candidate-stream path directly: the same problem run with the jump engine
-// disabled (by an indexed low-dimension searcher gate being absent, we
-// instead compare against the naive reference implementation shared with
-// opt_prop_test) over tables with heavy value ties.
+// naive reference (a full candidate sort per cluster, shared with
+// opt_prop_test) in every engine mode, over tables with heavy value ties
+// and at both ends of the dimensionality range: a 4-QI uniform table, and
+// a 2-QI Census table with the k-d index forced on, so its seeds come from
+// the tree while its clusters run on the engine.
 func TestJumpEngineMatchesStreamPath(t *testing.T) {
-	tables := []*dataset.Table{
-		synth.Uniform(170, 4, 3),          // 4 QI dims: linear streams, jump engaged
-		duplicateHeavyTable(150, 41),      // massive distance and bin ties
-		synth.PatientDischarge(180, 1234), // benchmark geometry
+	tables := []struct {
+		tbl       *dataset.Table
+		crossover int
+	}{
+		{synth.Uniform(170, 4, 3), 0},          // 4 QI dims
+		{duplicateHeavyTable(150, 41), 0},      // massive distance and bin ties
+		{synth.PatientDischarge(180, 1234), 0}, // benchmark geometry
+		{synth.Census(160, synth.Fica, 8), 1},  // 2 QI dims, k-d tree forced
 	}
 	// Force every engine mode: graduation to the interval-jump tree right
 	// after the initial picks, the pure phase-1 heap (the sequential loop
@@ -208,17 +212,23 @@ func TestJumpEngineMatchesStreamPath(t *testing.T) {
 	}
 	for _, mode := range modes {
 		jumpAfterPops, jumpDirectStreak = mode.afterPops, mode.directStreak
-		for ti, tbl := range tables {
+		for ti, tc := range tables {
 			for _, tl := range []float64{0.02, 0.1, 0.35} {
-				p, err := newProblem(tbl, 2, tl)
+				prep, err := Prepare(tc.tbl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition()
+				prep.Matrix().SetTuning(micro.Tuning{IndexCrossover: tc.crossover})
+				p, err := prep.newRun(Run{}, 2, tl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p)
+				all := micro.AllRows(tc.tbl.Len())
+				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition(all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p, all)
 				if gotSwaps != wantSwaps {
 					t.Errorf("mode=%s table %d t=%v: swaps=%d want %d",
 						mode.name, ti, tl, gotSwaps, wantSwaps)

@@ -117,10 +117,7 @@ func (p *Prepared) ConfOrder() []int {
 	p.confOnce.Do(func() {
 		confCol := p.table.Schema().Confidentials()[0]
 		conf := p.table.ColumnView(confCol)
-		order := make([]int, p.table.Len())
-		for i := range order {
-			order[i] = i
-		}
+		order := micro.AllRows(p.table.Len())
 		sort.Slice(order, func(i, j int) bool {
 			if conf[order[i]] != conf[order[j]] {
 				return conf[order[i]] < conf[order[j]]

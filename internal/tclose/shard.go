@@ -21,8 +21,8 @@ import (
 //
 // With one shard (one worker, or a table too small to split) the drivers
 // delegate to the serial algorithms unchanged, so W=1 sharded output is
-// bit-identical to serial — including the k=2 interval-jump engine, which
-// only the full-table frontier can use.
+// bit-identical to serial. Each Algorithm 2 shard runs the cold cluster
+// loop over its own rows, interval-jump engine included.
 
 // shardMinRows is the minimum shard size worth a dedicated worker: below
 // it, per-shard Searcher builds and the reconciliation pass outweigh the
@@ -46,11 +46,7 @@ func (p *problem) shardRows() [][]int {
 	if w <= 1 {
 		return nil
 	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	shards := p.mat.ShardRows(rows, w)
+	shards := p.mat.ShardRows(micro.AllRows(n), w)
 	if len(shards) <= 1 {
 		return nil
 	}
@@ -100,7 +96,7 @@ func (prep *Prepared) Algorithm2Sharded(run Run, k int, tLevel float64) (*Result
 	errs := make([]error, len(shards))
 	par.Cells(len(shards), p.workers, func(i int) {
 		sp := p.shardProblem()
-		clusters[i], swaps[i], errs[i] = sp.partitionPool(shards[i])
+		clusters[i], swaps[i], errs[i] = sp.kAnonymityFirstPartition(shards[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -137,8 +133,13 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 	}
 	clusters := make([][]micro.Cluster, len(shards))
 	errs := make([]error, len(shards))
+	// MDAV runs on a per-shard sub-matrix with the worker budget pinned to
+	// 1: the fan-out is across shards. Shards smaller than 2k come back as a
+	// single cluster for the fold pass to absorb.
+	tun := p.mat.TuningOf()
+	tun.Workers = 1
 	par.Cells(len(shards), p.workers, func(i int) {
-		clusters[i], errs[i] = p.shardMDAV(shards[i])
+		clusters[i], errs[i] = p.mdavRows(shards[i], p.k, tun)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -146,35 +147,6 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 		}
 	}
 	return p.reconcileShards(clusters)
-}
-
-// shardMDAV partitions one shard with MDAV over a sub-matrix of the shard's
-// points (the WarmRepair split pass's pattern), mapping local rows back to
-// table rows. The sub-matrix keeps the parent's tuning except the worker
-// budget, pinned to 1: the fan-out is across shards. Shards smaller than 2k
-// come back as a single cluster for the fold pass to absorb.
-func (p *problem) shardMDAV(rows []int) ([]micro.Cluster, error) {
-	pts := make([][]float64, len(rows))
-	for j, r := range rows {
-		pts[j] = p.mat.Row(r)
-	}
-	sub := micro.NewMatrix(pts)
-	tun := p.mat.TuningOf()
-	tun.Workers = 1
-	sub.SetTuning(tun)
-	parts, err := micro.MDAV(p.run.Ctx, sub, p.k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]micro.Cluster, len(parts))
-	for pi, part := range parts {
-		mapped := make([]int, len(part.Rows))
-		for j, lr := range part.Rows {
-			mapped[j] = rows[lr]
-		}
-		out[pi] = micro.Cluster{Rows: mapped}
-	}
-	return out, nil
 }
 
 // reconcileShards repairs the concatenated per-shard partitions into one

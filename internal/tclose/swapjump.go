@@ -12,20 +12,23 @@ import (
 // configuration (k = 2, one ordered confidential attribute): a drop-in
 // replacement for the nearest-first candidate stream whose partitions are
 // bit-identical, but whose cost adapts to the refinement regime per
-// cluster.
+// cluster. Every such cluster runs on it, at every QI dimensionality and
+// over every row pool the partition loop takes — the whole table, a warm
+// repair frontier or a k-d shard.
 //
 // The sequential reference pops every remaining candidate in ascending
-// (distance, row) order and evaluates a closed-form two-record deviation
-// (emd.Space.TwoRecordAbsDev) per pop. Two regimes matter:
+// (distance, row) order, evaluates a closed-form two-record deviation
+// (emd.Space.TwoRecordAbsDev) for each eviction, and keeps the swap that
+// strictly lowers it, the lower index on ties. Two regimes matter:
 //
 //   - Loose t: a cluster reaches t after a handful of pops, many of them
 //     accepted. The lazy heap is essentially optimal — one distance fill,
 //     one heapify, a few O(log n) pops.
 //   - Tight t: almost every cluster exhausts every candidate without
 //     reaching t, and almost every pop is a rejection. The cost is
-//     producing the full (distance, row) order — previously one radix
-//     sort of the whole remainder per cluster, the dominant term of the
-//     full-size runs.
+//     producing the full (distance, row) order — one radix sort of the
+//     whole remainder per cluster on the stream path, the dominant term
+//     of the full-size runs.
 //
 // The engine therefore runs each cluster in two phases. Phase 1 is exactly
 // the sequential loop on a lazy position heap. If a cluster's pops exceed
@@ -141,13 +144,23 @@ type swapJump struct {
 	treeBase int
 }
 
-// newSwapJump builds the engine over the problem's substrate.
-func (p *problem) newSwapJump() *swapJump {
-	return &swapJump{
-		mat:  p.mat,
-		sp:   p.spaces[0],
-		rank: append([]int(nil), p.ConfOrder()...),
+// newSwapJump builds the engine over the rows of pool: its ranking is the
+// substrate's confidential order restricted to the pool.
+func (p *problem) newSwapJump(pool []int) *swapJump {
+	in := p.rowScratch
+	for _, r := range pool {
+		in[r] = true
 	}
+	rank := make([]int, 0, len(pool))
+	for _, r := range p.ConfOrder() {
+		if in[r] {
+			rank = append(rank, r)
+		}
+	}
+	for _, r := range pool {
+		in[r] = false
+	}
+	return &swapJump{mat: p.mat, sp: p.spaces[0], rank: rank}
 }
 
 // filter drops the extracted cluster's rows from the candidate ranking,
@@ -401,7 +414,7 @@ func (j *swapJump) nextImproving(u0, u1 int, curNum int64) int32 {
 // generateClusterJump is the k = 2 single-ordered-attribute generateCluster
 // over the jump engine; see the file comment. It must be called only when
 // len(avail) >= 2k (the caller's small-remainder path handles the rest) and
-// the candidate ranking j.rank matches avail exactly.
+// the candidate ranking j.rank holds exactly the rows of avail.
 func (p *problem) generateClusterJump(j *swapJump, seed []float64) (cluster []int, swaps int) {
 	j.load(seed)
 	sp := j.sp
@@ -428,9 +441,10 @@ func (p *problem) generateClusterJump(j *swapJump, seed []float64) (cluster []in
 	cur := h.EMD()
 	u0, u1 := sp.Bin(cluster[0]), sp.Bin(cluster[1])
 	curNum := h.AbsDev()
-	// accept applies the sequential fast path's decision block verbatim:
+	// accept applies the sequential loop's decision to candidate y:
 	// evicting cluster[0] keeps u1, evicting cluster[1] keeps u0; ties
-	// prefer the lower index. It reports whether the candidate was taken.
+	// prefer the lower index, and an eviction that leaves the bin pair
+	// unchanged is not a swap. It reports whether the candidate was taken.
 	accept := func(y int32) bool {
 		yb := sp.Bin(j.rank[y])
 		bestIdx, bestNum := -1, curNum

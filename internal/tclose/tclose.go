@@ -50,22 +50,23 @@
 //     the geometry prunes) with the per-round centroid maintained
 //     incrementally in O(kd) and no per-round filtering of the remaining
 //     rows.
-//   - Algorithm 2: farthest seeds come from the spatial index and swap
-//     candidates from the Searcher's nearest-first stream (lazy while
-//     consumption is light, one radix-sorted pass in the full-drain regime
-//     of tight t). Each candidate is evaluated against each distinct
-//     occupied confidential bin of the cluster — not each member — and each
-//     evaluation runs on the exact integer prefix-sum geometry of package
-//     emd with per-size crossing caches: O(occΔ) integer operations with no
-//     binary searches. For the paper's k=2 single-attribute configuration
-//     the refinement leaves the stream entirely: the interval-jump engine
+//   - Algorithm 2: one cluster loop over a row pool (the table, a warm
+//     repair frontier or a k-d shard). Farthest seeds come from the spatial
+//     index and swap candidates from the Searcher's linear nearest-first
+//     stream (a lazy heap while consumption is light, one radix-sorted
+//     pass in the full-drain regime of tight t). Each candidate is
+//     evaluated against each distinct occupied confidential bin of the
+//     cluster — not each member — and each evaluation runs on the exact
+//     integer prefix-sum geometry of package emd with per-size crossing
+//     caches: O(occΔ) integer operations with no binary searches.
+//     Candidates whose confidential-bin signature already failed against
+//     the current cluster state are skipped in O(1). For the paper's k=2
+//     single-attribute configuration the refinement leaves the stream
+//     entirely, at every dimensionality: the interval-jump engine
 //     (swapjump.go) exploits the closed-form two-record deviation
 //     (emd.Space.TwoRecordAbsDev) being piecewise convex in the candidate
-//     bin to jump straight to each accepted swap — O(avail) setup per
+//     bin to jump straight to each accepted swap — O(pool) setup per
 //     cluster instead of a full distance sort, with identical partitions.
-//     Candidates whose confidential-bin signature already failed against
-//     the current cluster state are skipped in O(1) where that memo still
-//     pays for itself.
 //   - Algorithm 3: seed and per-subset nearest queries run on Searchers
 //     (one global, one per rank subset), k-d-tree-backed at any
 //     dimensionality above the index crossover; drawn records are marked
@@ -82,14 +83,11 @@
 // (micro.Matrix.Workers, set by core.WithWorkers): Algorithm 1's linear
 // merge partner evaluations fan out with an order-stable argmin on the
 // serial scan's (cost, index) tie key, the key the partner index answers
-// on too; Algorithm 2's eviction scoring fans out
-// the same way on the integer (numerator, index) key after warming the
-// histogram's swap geometry (emd.Hist.WarmSwapCache) so the concurrent
-// evaluations are pure reads; Algorithm 2's per-cluster distance fills are
-// chunked with each chunk writing disjoint slots; and Algorithm 3's
-// per-subset draws run on a reusable worker pool (internal/par) where each
-// task owns exactly one rank subset and its Searcher, with results landing
-// in fixed slots appended in subset order. Every seam therefore produces
+// on too; Algorithm 2's per-cluster distance fills are chunked with each
+// chunk writing disjoint slots; and Algorithm 3's per-subset draws run on a
+// reusable worker pool (internal/par) where each task owns exactly one rank
+// subset and its Searcher, with results landing in fixed slots appended in
+// subset order. Every seam therefore produces
 // partitions bit-identical to the serial run at any worker count — pinned
 // by the worker-sweep property tests in this package, the SABRE sweep, and
 // the golden conformance fixtures in internal/core — and each seam keeps a
@@ -159,9 +157,6 @@ var (
 	// mergePartnerParMin is the live-cluster count at or above which
 	// Algorithm 1's merge partner scan fans out.
 	mergePartnerParMin = 1024
-	// evictScanParMin is the cluster size at or above which Algorithm 2's
-	// eviction scoring fans out.
-	evictScanParMin = 64
 	// alg3DrawParMinRows is the per-subset record count at or above which
 	// Algorithm 3's per-subset nearest draws run on the worker pool.
 	alg3DrawParMinRows = 256
@@ -179,18 +174,15 @@ type problem struct {
 	run Run
 
 	// workers is the engine worker budget (micro.Matrix.Workers) shared by
-	// every parallel seam of the partition loops: the merge partner scans,
-	// the swap-candidate scoring, Algorithm 3's per-subset draws and the
-	// jump engine's distance fills. All seams reduce in a fixed order, so
-	// partitions are bit-identical at any value; 1 runs fully serial.
+	// the parallel seams of the partition loops: the merge partner scans,
+	// Algorithm 3's per-subset draws and the shard fan-out. All seams
+	// reduce in a fixed order, so partitions are bit-identical at any
+	// value; 1 runs fully serial.
 	workers int
 
 	// rowScratch backs micro.FilterRows so the partition loops do not
 	// allocate per removal.
 	rowScratch []bool
-	// evictSkip marks duplicate-signature eviction candidates for the
-	// parallel swap scoring (reused across refinement steps).
-	evictSkip []bool
 	// rejected memoizes candidate signatures already tried without
 	// improvement against the current cluster state of Algorithm 2's swap
 	// refinement; evaluated deduplicates eviction candidates within one

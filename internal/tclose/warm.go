@@ -133,10 +133,7 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		}
 		cm := micro.NewMatrix(cents)
 		cm.SetTuning(p.mat.TuningOf())
-		idxs := make([]int, len(cents))
-		for i := range idxs {
-			idxs[i] = i
-		}
+		idxs := micro.AllRows(len(cents))
 		search := cm.NewSearcher(idxs)
 		for done, r := range newRows {
 			if done%256 == 0 {
@@ -181,32 +178,18 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		members := rows[i]
-		pts := make([][]float64, len(members))
-		for j, r := range members {
-			pts[j] = p.mat.Row(r)
-		}
-		sub := micro.NewMatrix(pts)
-		sub.SetTuning(p.mat.TuningOf())
-		parts, err := micro.MDAV(p.run.Ctx, sub, effK)
+		parts, err := p.mdavRows(rows[i], effK, p.mat.TuningOf())
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, r := range members {
+		for _, r := range rows[i] {
 			touched[r] = true
 		}
-		for pi, part := range parts {
-			mapped := make([]int, len(part.Rows))
-			for j, lr := range part.Rows {
-				mapped[j] = members[lr]
-			}
-			if pi == 0 {
-				rows[i] = mapped
-			} else {
-				rows = append(rows, mapped)
-				dirty = append(dirty, true)
-				alive = append(alive, true)
-			}
+		rows[i] = parts[0].Rows
+		for _, part := range parts[1:] {
+			rows = append(rows, part.Rows)
+			dirty = append(dirty, true)
+			alive = append(alive, true)
 		}
 		stats.Split++
 	}
@@ -239,7 +222,7 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 			for _, r := range pool {
 				touched[r] = true
 			}
-			reclusters, s, err := p.partitionPool(pool)
+			reclusters, s, err := p.kAnonymityFirstPartition(pool)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -278,6 +261,28 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		Swaps:      swaps,
 		EffectiveK: effK,
 	}, stats, nil
+}
+
+// mdavRows partitions the given table rows with MDAV at cluster size k,
+// over a sub-matrix of their points with tuning tun, and maps the clusters
+// back to table rows.
+func (p *problem) mdavRows(rows []int, k int, tun micro.Tuning) ([]micro.Cluster, error) {
+	pts := make([][]float64, len(rows))
+	for j, r := range rows {
+		pts[j] = p.mat.Row(r)
+	}
+	sub := micro.NewMatrix(pts)
+	sub.SetTuning(tun)
+	parts, err := micro.MDAV(p.run.Ctx, sub, k)
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range parts {
+		for j, lr := range part.Rows {
+			part.Rows[j] = rows[lr]
+		}
+	}
+	return parts, nil
 }
 
 // foldUndersized folds every cluster smaller than minSize into the live
@@ -340,37 +345,4 @@ func (p *problem) foldUndersized(rows [][]int, minSize int, onFold func(small, i
 		cents[small] = nil
 		folds++
 	}
-}
-
-// partitionPool is kAnonymityFirstPartition confined to a row subset: the
-// same farthest-pair seeding and swap refinement, with the pool centroid
-// recomputed per round (the pool is a repair frontier, not the table, so
-// the O(|pool|·d) rescan is cheap) and no interval-jump engine (the jump
-// engine's precomputed rank order covers the full table only).
-func (p *problem) partitionPool(pool []int) ([]micro.Cluster, int, error) {
-	avail := append([]int(nil), pool...)
-	search := p.mat.NewSearcher(avail)
-	cent := make([]float64, p.mat.Dim())
-	var clusters []micro.Cluster
-	swaps := 0
-	extract := func(x int) {
-		c, s := p.generateCluster(x, avail, search, nil)
-		swaps += s
-		avail = micro.FilterRows(avail, c, p.rowScratch)
-		search.Remove(c)
-		clusters = append(clusters, micro.Cluster{Rows: c})
-	}
-	for len(avail) > 0 {
-		if err := p.interrupted(); err != nil {
-			return nil, 0, err
-		}
-		x0 := search.Farthest(avail, p.mat.CentroidRows(avail, cent))
-		extract(x0)
-		if len(avail) == 0 {
-			break
-		}
-		x1 := search.Farthest(avail, p.mat.Row(x0))
-		extract(x1)
-	}
-	return clusters, swaps, nil
 }
