@@ -328,6 +328,28 @@ func (t *Table) Subset(rows []int) (*Table, error) {
 	return s, nil
 }
 
+// KeepRows drops every record but the given ones, in place: each column
+// keeps its backing array and the kept values move down within it. rows
+// must be ascending and unique; the table is unchanged when they are not
+// or when one is out of range.
+func (t *Table) KeepRows(rows []int) error {
+	for i, r := range rows {
+		if r < 0 || r >= t.rows {
+			return fmt.Errorf("%w: %d (table has %d rows)", ErrRowRange, r, t.rows)
+		}
+		if i > 0 && r <= rows[i-1] {
+			return fmt.Errorf("dataset: KeepRows rows not ascending at %d", i)
+		}
+	}
+	for _, col := range t.cols {
+		for j, r := range rows {
+			col[j] = col[r]
+		}
+	}
+	t.rows = len(rows)
+	return nil
+}
+
 // Validate checks the table for values that would break the anonymization
 // pipeline: NaN or infinite numeric values, or categorical codes outside the
 // dictionary.

@@ -47,15 +47,6 @@
 // partition — is bit-identical between the indexed and linear paths. The
 // property tests in kdtree_test.go enforce this, including after deletions
 // and on adversarially duplicated point sets.
-//
-// The nearest-first candidate Stream (Algorithm 2's swap candidates) is a
-// linear pass at every dimensionality and candidate-set size: one distance
-// fill, then a lazy heap. Two regime switches, both invisible to
-// consumers, cut its cost when consumption is heavy: a drain that
-// radix-sorts the remainder once a consumer has taken streamDrainAt
-// candidates, and a presort mode that skips the lazy heap outright after
-// presortStreak consecutive drained streams (the steady state of Algorithm
-// 2 at tight t levels).
 package micro
 
 import (

@@ -208,22 +208,22 @@ func NewKDTree(m *Matrix, rows []int) *KDTree {
 		t.alive[pos] = true
 		t.posOf[rows[rk]] = int32(pos)
 	}
-	// The Farthest order: ascending (pivot distance, rank) by the stream's
-	// radix sort, read backwards.
-	byRad := make([]drainEntry, n)
+	// The Farthest order: ascending (pivot distance, rank) by the radix
+	// sort, read backwards.
+	byRad := make([]DistEntry, n)
 	for rk, r2 := range b.rad2 {
-		byRad[rk] = drainEntry{d: r2, row: int32(rk)}
+		byRad[rk] = DistEntry{D: r2, Row: int32(rk)}
 	}
-	var tmp []drainEntry
+	var tmp []DistEntry
 	var counts []int32
-	byRad = radixSortDrain(byRad, &tmp, &counts)
+	byRad = RadixSortDist(byRad, &tmp, &counts)
 	t.far = make([]int32, n)
 	t.farRad = make([]float64, n)
 	t.farPts = make([]float64, n*dim)
 	for i, e := range byRad {
-		j, rk := n-1-i, int(e.row)
+		j, rk := n-1-i, int(e.Row)
 		t.far[j] = t.posOf[rows[rk]]
-		t.farRad[j] = math.Sqrt(e.d) * (1 + kdEps)
+		t.farRad[j] = math.Sqrt(e.D) * (1 + kdEps)
 		copy(t.farPts[j*dim:(j+1)*dim], b.pts[rk*dim:(rk+1)*dim])
 	}
 	return t

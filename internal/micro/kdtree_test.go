@@ -208,56 +208,6 @@ func TestKDTreeMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesSortedOrder drains Searcher streams fully and checks the
-// emission order equals the exact (distance, row) sort of the alive rows,
-// across the lazy-head, drain, and presort modes of the linear stream.
-// Point dimensionality is varied, and every other trial builds the Searcher
-// indexed, whose stream must stay the same linear pass over the slice.
-func TestStreamMatchesSortedOrder(t *testing.T) {
-	defer func(d, p int) { streamDrainAt, presortStreak = d, p }(streamDrainAt, presortStreak)
-	// Force the drain escape hatch and the presort mode on small candidate
-	// sets: every full traversal below drains, and after two drained
-	// streams the third starts presorted.
-	streamDrainAt = 8
-	presortStreak = 2
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 80; trial++ {
-		pts, n := kdTrialPoints(rng, trial)
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		m := NewMatrix(pts)
-		if trial%2 == 0 {
-			m.SetTuning(Tuning{IndexCrossover: 1})
-		}
-		search := m.NewSearcher(rows)
-		ref := &kdRef{pts: pts, rows: rows}
-		for round := 0; round < 5 && len(rows) > 0; round++ {
-			p := pts[rows[rng.Intn(len(rows))]]
-			want := ref.kNearest(p, len(rows))
-			st := search.Stream(rows, p)
-			got := make([]int, 0, len(rows))
-			for {
-				r, ok := st.Next()
-				if !ok {
-					break
-				}
-				got = append(got, r)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d round %d: stream order diverges\n got %v\nwant %v", trial, round, got, want)
-			}
-			drop := rows[:1+rng.Intn(len(rows))]
-			drop = append([]int(nil), drop[:1+rng.Intn(len(drop))]...)
-			scratch := make([]bool, n)
-			rows = FilterRows(rows, drop, scratch)
-			search.Remove(drop)
-			ref.rows = rows
-		}
-	}
-}
-
 // TestMDAVIndexMatchesScan pins the indexed MDAV partition to the linear
 // scan partition (and to the naive reference) on random and heavy-tie
 // geometries: the crossover is forced in both directions and the outputs

@@ -120,13 +120,6 @@ func (m *Matrix) Workers() int {
 	return defaultWorkers
 }
 
-// ScanWorkers returns the fan-out a row scan of the given size should use
-// over this matrix: the worker budget above the parallel-scan floor, 1
-// below it. External scan loops (e.g. the jump engine's distance fills)
-// route through it so the engagement floor stays one knob shared with the
-// matrix's own scans.
-func (m *Matrix) ScanWorkers(nRows int) int { return m.scanWorkers(nRows) }
-
 // scanWorkers returns the fan-out for a parallel scan over nRows.
 func (m *Matrix) scanWorkers(nRows int) int {
 	w := m.Workers()

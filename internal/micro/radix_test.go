@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestRadixDrainIsolated pins the stable LSD radix sort of drained stream
-// remainders to a stable comparison sort on the distance alone, on
+// TestRadixDrainIsolated pins the stable LSD radix sort of (distance, row)
+// entries to a stable comparison sort on the distance alone, on
 // heavy-tie keys, across both the 11-bit (small array) and 16-bit (large
 // array) digit widths: equal distances must keep their input (row) order.
 func TestRadixDrainIsolated(t *testing.T) {
@@ -17,15 +17,15 @@ func TestRadixDrainIsolated(t *testing.T) {
 		if trial == 0 {
 			n = 1<<14 + 137 // force the 16-bit digit path
 		}
-		a := make([]drainEntry, n)
+		a := make([]DistEntry, n)
 		for i := range a {
-			a[i] = drainEntry{d: float64(rng.Intn(50)) * 0.25, row: int32(i)}
+			a[i] = DistEntry{D: float64(rng.Intn(50)) * 0.25, Row: int32(i)}
 		}
-		want := append([]drainEntry(nil), a...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].d < want[j].d })
-		var tmp []drainEntry
+		want := append([]DistEntry(nil), a...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].D < want[j].D })
+		var tmp []DistEntry
 		var counts []int32
-		got := radixSortDrain(a, &tmp, &counts)
+		got := RadixSortDist(a, &tmp, &counts)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d n=%d: mismatch at %d: got %v want %v", trial, n, i, got[i], want[i])

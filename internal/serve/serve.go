@@ -659,7 +659,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+		// Cap in milliseconds first: the Duration product overflows above
+		// about 9.2e12 ms and would wrap into a negative deadline.
+		timeout = time.Duration(min(req.TimeoutMillis, s.cfg.MaxTimeout.Milliseconds())) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

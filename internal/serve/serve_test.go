@@ -262,6 +262,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitHugeTimeoutCaps pins that a timeout_ms past the Duration range
+// is capped at MaxTimeout, not wrapped into a negative deadline that fails
+// the job at once.
+func TestSubmitHugeTimeoutCaps(t *testing.T) {
+	const maxTimeout = 45 * time.Second
+	_, ts := testServer(t, Config{MaxTimeout: maxTimeout})
+	registerSynth(t, ts.URL, "census-mcd", "census", 120)
+	for _, ms := range []int64{9_300_000_000_000, 18_446_744_073_709} {
+		code, doc, _ := submit(t, ts.URL, map[string]any{
+			"dataset": "census", "algorithm": "alg3", "k": 3, "t": 0.2,
+			"timeout_ms": ms, "no_cache": true,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("timeout_ms=%d: submit status %d (%v)", ms, code, doc)
+		}
+		if got := doc["timeout_ms"]; got != float64(maxTimeout.Milliseconds()) {
+			t.Fatalf("timeout_ms=%d: status timeout_ms %v, want %d", ms, got, maxTimeout.Milliseconds())
+		}
+		if final := waitJob(t, ts.URL, jobID(t, doc), 30*time.Second); final["state"] != string(JobDone) {
+			t.Fatalf("timeout_ms=%d: job %v (%v), want done", ms, final["state"], final["error"])
+		}
+	}
+}
+
 // TestRegisterCSVAndAppendErrors registers a dataset by CSV upload and
 // pins the append rejection paths surfacing as 400s.
 func TestRegisterCSVAndAppendErrors(t *testing.T) {

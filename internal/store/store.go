@@ -132,7 +132,8 @@ var (
 // epoch. It replays Backend.Stream into a table pre-grown to the replay's
 // record count, applying each chunk's dictionary delta and values in
 // commit order. A tombstone only drops its rows from the list of live
-// rows, so the table is copied once, after the replay, however many
+// rows, and after the replay the live rows move down in place within the
+// table's own columns, so the table is never copied, however many
 // deletion epochs the history holds.
 func Load(b Backend, name string) (*dataset.Table, int, error) {
 	var l loader
@@ -140,14 +141,12 @@ func Load(b Backend, name string) (*dataset.Table, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if !l.deleted {
-		return l.tbl, epoch, nil
+	if l.deleted {
+		if err := l.tbl.KeepRows(l.liveRows()); err != nil {
+			return nil, 0, err
+		}
 	}
-	tbl, err := l.tbl.Subset(l.liveRows())
-	if err != nil {
-		return nil, 0, err
-	}
-	return tbl, epoch, nil
+	return l.tbl, epoch, nil
 }
 
 // loader is the replay state of Load. tbl holds every replayed record;
@@ -188,6 +187,9 @@ func (l *loader) chunk(ch ColumnChunk) error {
 // liveRows brings the live list up to date with the rows appended since
 // it was last read and returns it.
 func (l *loader) liveRows() []int {
+	if l.live == nil {
+		l.live = make([]int, 0, l.tbl.Len())
+	}
 	for r := l.covered; r < l.tbl.Len(); r++ {
 		l.live = append(l.live, r)
 	}

@@ -232,14 +232,15 @@ func TestStreamAllocatesOnce(t *testing.T) {
 
 // TestLoadCopiesTableOnce pins Load's cost to the table, not to its
 // deletion history: tombstones drop rows from a list of live rows and the
-// table is copied once at the end, so a load after 50 ten-row deletion
-// epochs allocates about what a load after 10 does, and it yields the same
-// table as deleting the rows from the table in memory.
+// live rows are compacted in place at the end, so a load after 50 ten-row
+// deletion epochs allocates about what a load after 10 does and at most
+// 1.5x a load with none, and it yields the same table as deleting the rows
+// from the table in memory.
 func TestLoadCopiesTableOnce(t *testing.T) {
 	tbl := synth.PatientDischarge(100000, synth.DefaultSeed)
 	b := newBackend(t)
 	alloc := make(map[int]uint64)
-	for _, epochs := range []int{10, 50} {
+	for _, epochs := range []int{0, 10, 50} {
 		name := fmt.Sprintf("pd-%d", epochs)
 		if err := Write(b, name, tbl); err != nil {
 			t.Fatal(err)
@@ -269,6 +270,9 @@ func TestLoadCopiesTableOnce(t *testing.T) {
 	}
 	if ratio := float64(alloc[50]) / float64(alloc[10]); ratio > 1.25 {
 		t.Errorf("Load after 50 deletion epochs allocated %.2fx what it did after 10, want <= 1.25x", ratio)
+	}
+	if ratio := float64(alloc[50]) / float64(alloc[0]); ratio > 1.5 {
+		t.Errorf("Load after 50 deletion epochs allocated %.2fx what it did after none, want <= 1.5x", ratio)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // result therefore always satisfies t-closeness.
 //
 // The swap refinement runs on the incremental EMD geometry of package emd
-// (see the package Performance section): candidates come off a lazily
-// consumed heap, eviction candidates are deduplicated by confidential-bin
-// signature, candidates whose signature already failed against the current
-// cluster state are skipped in O(1), and each surviving evaluation costs
+// (see the package Performance section): candidates come from one pass per
+// cluster over a packed candidate set, eviction candidates are
+// deduplicated by confidential-bin signature, candidates whose signature
+// already failed against the current cluster state are skipped in O(1),
+// and each surviving evaluation costs
 // O(occΔ·log m) instead of the naive full-histogram walk. The
 // k-anonymity-first partition depends on both k and t (the swap refinement
 // targets t), so it is never cached.
@@ -51,61 +52,91 @@ func (prep *Prepared) Algorithm2(run Run, k int, tLevel float64) (*Result, error
 // shard for Algorithm2Sharded; it must be in ascending row order, the tie
 // order of every query, and is not modified. The centroid of the
 // unclustered records is maintained incrementally (O(kd) per extracted
-// cluster instead of an O(pool·d) rescan, exact below 128 rows), and the
-// farthest-seed queries and the candidate ordering run on a micro.Searcher
-// — a deletable k-d tree over the normalized QI cube for large pools, the
-// linear scans below the crossover. Cancellation is checked once per
-// seed-pair round, so an abandoned run stops within two cluster
-// extractions.
+// cluster instead of an O(pool·d) rescan, exact below 128 rows), the
+// farthest-seed queries run on a micro.Searcher — a deletable k-d tree over
+// the normalized QI cube for large pools, the linear scans below the
+// crossover — and the swap candidates come from one candidate set over the
+// pool (candset.go). Extracted records are marked dead; the available-row
+// slice is compacted only when a linear reader needs it exact (an
+// unindexed Searcher, the exact centroid of a small remainder, the final
+// cluster), as in MDAV. Cancellation is checked once per seed-pair round,
+// so an abandoned run stops within two cluster extractions.
 func (p *problem) kAnonymityFirstPartition(pool []int) ([]micro.Cluster, int, error) {
 	avail := append([]int(nil), pool...)
 	rc := micro.NewRunningCentroid(p.mat, avail)
 	search := p.mat.NewSearcher(avail)
 	// The paper's headline configuration (k = 2, one ordered confidential
-	// attribute) runs on the interval-jump engine instead of the candidate
-	// stream (see swapjump.go): same partitions, no per-cluster distance
-	// sort.
-	var jump *swapJump
-	if p.k == 2 && len(p.spaces) == 1 && !p.spaces[0].Nominal() {
-		jump = p.newSwapJump(avail)
+	// attribute) runs on the interval-jump engine (see swapjump.go), over
+	// a candidate set in (bin, row) order: same partitions, no pop per
+	// rejected candidate.
+	jump := p.k == 2 && len(p.spaces) == 1 && !p.spaces[0].Nominal()
+	cands := p.newCandSet(pool, jump)
+	// avail keeps extracted rows (marked in dead) until exact() drops them;
+	// rc counts the rows still unclustered.
+	dead := make([]bool, p.table.Len())
+	exact := func() []int {
+		if len(avail) > rc.Count() {
+			avail = micro.CompactRows(avail, dead)
+		}
+		return avail
+	}
+	farthest := func(q []float64) int {
+		if !search.Indexed() {
+			exact()
+		}
+		return search.Farthest(avail, q)
 	}
 	var clusters []micro.Cluster
 	swaps := 0
 	extract := func(x int) {
-		c, s := p.generateCluster(x, avail, search, jump)
-		swaps += s
-		avail = micro.FilterRows(avail, c, p.rowScratch)
-		if jump != nil {
-			jump.filter(c, p.rowScratch)
+		var c []int
+		var s int
+		switch {
+		case rc.Count() < 2*p.k:
+			// Fewer than 2k records remain: they all form the final cluster.
+			c = append([]int(nil), exact()...)
+		case jump:
+			c, s = p.generateClusterJump(cands, p.mat.Row(x))
+		default:
+			c, s = p.generateCluster(cands, p.mat.Row(x))
 		}
+		swaps += s
+		for _, r := range c {
+			dead[r] = true
+		}
+		cands.remove(c)
 		rc.RemoveRows(c)
 		search.Remove(c)
 		clusters = append(clusters, micro.Cluster{Rows: c})
 	}
-	for len(avail) > 0 {
+	for rc.Count() > 0 {
 		if err := p.interrupted(); err != nil {
 			return nil, 0, err
 		}
-		x0 := search.Farthest(avail, rc.CentroidOf(avail))
+		if rc.RowsNeeded() {
+			exact()
+		}
+		x0 := farthest(rc.CentroidOf(avail))
 		extract(x0)
-		if len(avail) == 0 {
+		if rc.Count() == 0 {
 			break
 		}
-		x1 := search.Farthest(avail, p.mat.Row(x0))
+		x1 := farthest(p.mat.Row(x0))
 		extract(x1)
-		p.reportProgress("partition", len(pool)-len(avail), len(pool))
+		p.reportProgress("partition", len(pool)-rc.Count(), len(pool))
 	}
 	return clusters, swaps, nil
 }
 
 // generateCluster implements the paper's GenerateCluster: starting from the
-// k records QI-closest to the source record x (x included), while the
+// k records QI-closest to the seed record (itself included), while the
 // cluster's EMD to the data set exceeds t and unconsidered records remain,
 // take the next QI-closest record y and swap it with the in-cluster record
 // y' whose eviction minimizes the EMD of C ∪ {y} \ {y'}; the swap is kept
 // only if it strictly improves the EMD. Records considered but not swapped
 // in (and records swapped out) remain available to later clusters — only the
-// returned cluster is removed from the caller's pool.
+// returned cluster is removed from the caller's pool. The candidate set
+// must hold at least 2k live rows, in row order.
 //
 // Two memoizations prune the refinement without changing its outcome, since
 // every EMD depends only on the multiset of confidential bins:
@@ -118,26 +149,18 @@ func (p *problem) kAnonymityFirstPartition(pool []int) ([]micro.Cluster, int, er
 //     cluster state without improvement would fail again, so it is skipped;
 //     the memo is cleared whenever a swap changes the cluster.
 //
-// If fewer than 2k records remain, they all form the final cluster.
-//
-// Candidates come off the Searcher's nearest-first stream in exact
-// (distance, row) order: lazily from a heap while consumption is light,
-// switching to one radix-sorted remainder array when a cluster turns out to
-// consume most of the candidate set — the regime of tight t levels, where
-// nearly every cluster exhausts all candidates without reaching t and the
-// finishing merge step does the rest. Clusters of the paper's k = 2
-// single-attribute configuration run on the interval-jump engine instead.
-func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, jump *swapJump) (cluster []int, swaps int) {
-	if len(avail) < 2*p.k {
-		return append([]int(nil), avail...), 0
-	}
-	if jump != nil {
-		return p.generateClusterJump(jump, p.mat.Row(x))
-	}
-	stream := search.Stream(avail, p.mat.Row(x))
+// Candidates come off the candidate set in exact (distance, row) order:
+// one tree pop each while consumption is light, one radix-sorted remainder
+// once a cluster turns out to consume most of the set — the regime of
+// tight t levels, where nearly every cluster exhausts all candidates
+// without reaching t and the finishing merge step does the rest. Clusters
+// of the paper's k = 2 single-attribute configuration run on the
+// interval-jump engine instead (generateClusterJump).
+func (p *problem) generateCluster(cands *candSet, seed []float64) (cluster []int, swaps int) {
+	cands.load(seed)
 	cluster = make([]int, 0, p.k)
 	for len(cluster) < p.k {
-		y, _ := stream.Next()
+		y, _ := cands.next()
 		cluster = append(cluster, y)
 	}
 	hs := p.newHistSet(cluster)
@@ -154,7 +177,7 @@ func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, ju
 		// division per evaluation.
 		h := hs[0]
 		for cur > p.t {
-			y, ok := stream.Next()
+			y, ok := cands.next()
 			if !ok {
 				break
 			}
@@ -175,7 +198,7 @@ func (p *problem) generateCluster(x int, avail []int, search *micro.Searcher, ju
 		return cluster, swaps
 	}
 	for cur > p.t {
-		y, ok := stream.Next()
+		y, ok := cands.next()
 		if !ok {
 			break
 		}

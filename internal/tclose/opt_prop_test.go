@@ -11,11 +11,11 @@ import (
 	"repro/internal/synth"
 )
 
-// This file pins the optimized Algorithm 2 machinery — lazy candidate heap,
-// eviction deduplication by bin signature, rejected-signature memoization,
-// incremental centroids — to the naive control flow the package shipped
-// with: full candidate sort, every eviction evaluated, fresh centroid
-// rescans. Both sides share the exact integer EMD engine (itself pinned to
+// This file pins the optimized Algorithm 2 machinery — the candidate set's
+// block minima and drain, eviction deduplication by bin signature,
+// rejected-signature memoization, incremental centroids — to the naive
+// control flow the package shipped with: full candidate sort, every
+// eviction evaluated, fresh centroid rescans. Both sides share the exact integer EMD engine (itself pinned to
 // the floating-point reference in package emd), so the partitions must be
 // identical, not merely close.
 
@@ -111,8 +111,12 @@ func referenceKAnonymityFirstPartition(p *problem, pool []int) ([]micro.Cluster,
 
 // TestKAnonymityFirstPartitionMatchesReference compares the optimized
 // partition against the naive reference over the synthetic generators the
-// benchmarks use, across the (k, t) grid corners.
+// benchmarks use, across the (k, t) grid corners. The drain threshold is
+// forced low, so clusters that take more than 16 candidates finish on the
+// radix-sorted remainder.
 func TestKAnonymityFirstPartitionMatchesReference(t *testing.T) {
+	defer func(d int) { drainAt = d }(drainAt)
+	drainAt = 16
 	tables := []struct {
 		name string
 		tbl  *dataset.Table
@@ -123,7 +127,7 @@ func TestKAnonymityFirstPartitionMatchesReference(t *testing.T) {
 	}
 	for _, tc := range tables {
 		name := tc.name
-		for _, k := range []int{1, 2, 3, 7} {
+		for _, k := range []int{1, 2, 3, 5, 7, 10} {
 			for _, tl := range []float64{0.03, 0.12, 0.3} {
 				tbl := tc.tbl
 				p, err := newProblem(tbl, k, tl)

@@ -180,10 +180,11 @@ func TestEvictionScoringParallelLargeK(t *testing.T) {
 
 // TestJumpEngineMatchesStreamPath pins the interval-jump refinement to the
 // naive reference (a full candidate sort per cluster, shared with
-// opt_prop_test) in every engine mode, over tables with heavy value ties
-// and at both ends of the dimensionality range: a 4-QI uniform table, and
-// a 2-QI Census table with the k-d index forced on, so its seeds come from
-// the tree while its clusters run on the engine.
+// opt_prop_test), over tables with heavy value ties and at both ends of the
+// dimensionality range: a 4-QI uniform table, a 3-QI table whose size
+// leaves one position in its last candidate block, and a 2-QI Census table
+// with the k-d index forced on, so its seeds come from the tree while its
+// clusters run on the engine.
 func TestJumpEngineMatchesStreamPath(t *testing.T) {
 	tables := []struct {
 		tbl       *dataset.Table
@@ -193,50 +194,30 @@ func TestJumpEngineMatchesStreamPath(t *testing.T) {
 		{duplicateHeavyTable(150, 41), 0},      // massive distance and bin ties
 		{synth.PatientDischarge(180, 1234), 0}, // benchmark geometry
 		{synth.Census(160, synth.Fica, 8), 1},  // 2 QI dims, k-d tree forced
+		{synth.Uniform(4*candSetBlock+1, 3, 17), 0},
 	}
-	// Force every engine mode: graduation to the interval-jump tree right
-	// after the initial picks, the pure phase-1 heap (the sequential loop
-	// itself), direct phase-2 entry for every cluster, and the default
-	// adaptive mix. All must match the naive reference.
-	oldAfter, oldStreak := jumpAfterPops, jumpDirectStreak
-	t.Cleanup(func() { jumpAfterPops, jumpDirectStreak = oldAfter, oldStreak })
-	modes := []struct {
-		name         string
-		afterPops    int
-		directStreak int
-	}{
-		{"graduate-immediately", 0, 1 << 30},
-		{"pure-heap", 1 << 30, 1 << 30},
-		{"direct-tree", 0, 0},
-		{"adaptive-defaults", oldAfter, oldStreak},
-	}
-	for _, mode := range modes {
-		jumpAfterPops, jumpDirectStreak = mode.afterPops, mode.directStreak
-		for ti, tc := range tables {
-			for _, tl := range []float64{0.02, 0.1, 0.35} {
-				prep, err := Prepare(tc.tbl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prep.Matrix().SetTuning(micro.Tuning{IndexCrossover: tc.crossover})
-				p, err := prep.newRun(Run{}, 2, tl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				all := micro.AllRows(tc.tbl.Len())
-				gotClusters, gotSwaps, err := p.kAnonymityFirstPartition(all)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p, all)
-				if gotSwaps != wantSwaps {
-					t.Errorf("mode=%s table %d t=%v: swaps=%d want %d",
-						mode.name, ti, tl, gotSwaps, wantSwaps)
-				}
-				if !reflect.DeepEqual(gotClusters, wantClusters) {
-					t.Fatalf("mode=%s table %d t=%v: jump partition diverges from reference",
-						mode.name, ti, tl)
-				}
+	for ti, tc := range tables {
+		for _, tl := range []float64{0.02, 0.1, 0.35} {
+			prep, err := Prepare(tc.tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep.Matrix().SetTuning(micro.Tuning{IndexCrossover: tc.crossover})
+			p, err := prep.newRun(Run{}, 2, tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := micro.AllRows(tc.tbl.Len())
+			gotClusters, gotSwaps, err := p.kAnonymityFirstPartition(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantClusters, wantSwaps := referenceKAnonymityFirstPartition(p, all)
+			if gotSwaps != wantSwaps {
+				t.Errorf("table %d t=%v: swaps=%d want %d", ti, tl, gotSwaps, wantSwaps)
+			}
+			if !reflect.DeepEqual(gotClusters, wantClusters) {
+				t.Fatalf("table %d t=%v: jump partition diverges from reference", ti, tl)
 			}
 		}
 	}

@@ -55,19 +55,18 @@ func (p *problem) shardRows() [][]int {
 
 // shardProblem builds the run-private state for one shard's cluster loop.
 // The Prepared substrate is shared read-only (its concurrency contract);
-// everything mutable — row scratch, signature memos — is private to the
+// everything mutable — the signature memos — is private to the
 // shard, and the inner parallel seams are pinned to one worker so the
 // fan-out happens across shards, not inside them. Progress is not forwarded:
 // ProgressFunc is called synchronously on the run's goroutine by contract,
 // which concurrent shards cannot honor.
 func (p *problem) shardProblem() *problem {
 	sp := &problem{
-		Prepared:   p.Prepared,
-		k:          p.k,
-		t:          p.t,
-		run:        Run{Ctx: p.run.Ctx},
-		workers:    1,
-		rowScratch: make([]bool, p.table.Len()),
+		Prepared: p.Prepared,
+		k:        p.k,
+		t:        p.t,
+		run:      Run{Ctx: p.run.Ctx},
+		workers:  1,
 	}
 	if p.sigs != nil {
 		sp.rejected = newSigSet(p.sigDomain)

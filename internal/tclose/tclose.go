@@ -52,21 +52,29 @@
 //     rows.
 //   - Algorithm 2: one cluster loop over a row pool (the table, a warm
 //     repair frontier or a k-d shard). Farthest seeds come from the spatial
-//     index and swap candidates from the Searcher's linear nearest-first
-//     stream (a lazy heap while consumption is light, one radix-sorted
-//     pass in the full-drain regime of tight t). Each candidate is
-//     evaluated against each distinct occupied confidential bin of the
+//     index; extracted rows are marked dead, and the available-row slice is
+//     compacted only when a linear reader needs it. Swap candidates come
+//     from one candidate set per loop (candset.go): the pool's rows and a
+//     packed copy of their QI coordinates, over which each cluster makes
+//     one serial pass computing every distance to its seed and the
+//     (distance, row) minimum of each 32-position block, with a tournament
+//     tree over the blocks. A pop costs one block rescan and one tree
+//     path; a cluster that takes 384 candidates with more left radix-sorts
+//     the remainder once (the full-drain regime of tight t). Each candidate
+//     is evaluated against each distinct occupied confidential bin of the
 //     cluster — not each member — and each evaluation runs on the exact
 //     integer prefix-sum geometry of package emd with per-size crossing
 //     caches: O(occΔ) integer operations with no binary searches.
 //     Candidates whose confidential-bin signature already failed against
 //     the current cluster state are skipped in O(1). For the paper's k=2
-//     single-attribute configuration the refinement leaves the stream
-//     entirely, at every dimensionality: the interval-jump engine
-//     (swapjump.go) exploits the closed-form two-record deviation
+//     single-attribute configuration the refinement pops no candidates at
+//     all, at every dimensionality: the interval-jump engine (swapjump.go)
+//     exploits the closed-form two-record deviation
 //     (emd.Space.TwoRecordAbsDev) being piecewise convex in the candidate
-//     bin to jump straight to each accepted swap — O(pool) setup per
-//     cluster instead of a full distance sort, with identical partitions.
+//     bin to jump straight to each accepted swap, answering each improving
+//     bin interval as a block range minimum over a candidate set in
+//     (bin, row) order — one distance pass per cluster plus O(log) per
+//     accepted swap, with identical partitions.
 //   - Algorithm 3: seed and per-subset nearest queries run on Searchers
 //     (one global, one per rank subset), k-d-tree-backed at any
 //     dimensionality above the index crossover; drawn records are marked
@@ -83,11 +91,11 @@
 // (micro.Matrix.Workers, set by core.WithWorkers): Algorithm 1's linear
 // merge partner evaluations fan out with an order-stable argmin on the
 // serial scan's (cost, index) tie key, the key the partner index answers
-// on too; Algorithm 2's per-cluster distance fills are chunked with each
-// chunk writing disjoint slots; and Algorithm 3's per-subset draws run on a
-// reusable worker pool (internal/par) where each task owns exactly one rank
-// subset and its Searcher, with results landing in fixed slots appended in
-// subset order. Every seam therefore produces
+// on too; and Algorithm 3's per-subset draws run on a reusable worker pool
+// (internal/par) where each task owns exactly one rank subset and its
+// Searcher, with results landing in fixed slots appended in subset order.
+// Algorithm 2's per-cluster distance pass is serial: on two cores a
+// chunked fill did not pay for its fan-out. Every seam therefore produces
 // partitions bit-identical to the serial run at any worker count — pinned
 // by the worker-sweep property tests in this package, the SABRE sweep, and
 // the golden conformance fixtures in internal/core — and each seam keeps a
@@ -180,9 +188,6 @@ type problem struct {
 	// value; 1 runs fully serial.
 	workers int
 
-	// rowScratch backs micro.FilterRows so the partition loops do not
-	// allocate per removal.
-	rowScratch []bool
 	// rejected memoizes candidate signatures already tried without
 	// improvement against the current cluster state of Algorithm 2's swap
 	// refinement; evaluated deduplicates eviction candidates within one
@@ -205,12 +210,11 @@ func (prep *Prepared) newRun(run Run, k int, tLevel float64) (*problem, error) {
 		run.Ctx = context.Background()
 	}
 	p := &problem{
-		Prepared:   prep,
-		k:          k,
-		t:          tLevel,
-		run:        run,
-		workers:    prep.mat.Workers(),
-		rowScratch: make([]bool, prep.table.Len()),
+		Prepared: prep,
+		k:        k,
+		t:        tLevel,
+		run:      run,
+		workers:  prep.mat.Workers(),
 	}
 	if prep.sigs != nil {
 		p.rejected = newSigSet(prep.sigDomain)
