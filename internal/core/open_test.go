@@ -103,9 +103,28 @@ func TestOpenRestoresEngineAcrossRestart(t *testing.T) {
 	}
 
 	// The restored engine continues the epoch sequence durably: labels
-	// introduced after the restart must reuse the persisted dictionary.
-	if err := eng2.Append([]any{41.0, 90300.0, "kirkenes", "cold"}); err != nil {
+	// introduced after the restart must reuse the persisted dictionary, and
+	// the appended record must follow the live rows the deletion left, just
+	// as it does on the engine that never restarted.
+	late := []any{41.0, 90300.0, "kirkenes", "cold"}
+	if err := eng2.Append(late); err != nil {
 		t.Fatal(err)
+	}
+	unrestarted := eng.Table().Clone()
+	if err := unrestarted.AppendRow(late...); err != nil {
+		t.Fatal(err)
+	}
+	checkLastRow := func(name string, tbl *dataset.Table) {
+		t.Helper()
+		r := tbl.Len() - 1
+		if tbl.Value(r, 0) != 41 || tbl.Value(r, 1) != 90300 ||
+			tbl.Label(r, 2) != "kirkenes" || tbl.Label(r, 3) != "cold" {
+			t.Fatalf("%s: appended row reads %v, want %v", name, tbl.Row(r), late)
+		}
+	}
+	checkLastRow("restored engine", eng2.Table())
+	if got, want := store.TableHash(eng2.Table()), store.TableHash(unrestarted); got != want {
+		t.Fatalf("restored engine after append: table hash %s, want %s", got, want)
 	}
 	b3, err := store.NewFileBackend(dir)
 	if err != nil {
@@ -121,6 +140,7 @@ func TestOpenRestoresEngineAcrossRestart(t *testing.T) {
 	if got, want := store.TableHash(eng3.Table()), store.TableHash(eng2.Table()); got != want {
 		t.Fatalf("continued table hash %s, want %s", got, want)
 	}
+	checkLastRow("reopened engine", eng3.Table())
 }
 
 // Warm replay must keep working across a restart: Open restores only the

@@ -329,9 +329,10 @@ func (t *Table) Subset(rows []int) (*Table, error) {
 }
 
 // KeepRows drops every record but the given ones, in place: each column
-// keeps its backing array and the kept values move down within it. rows
-// must be ascending and unique; the table is unchanged when they are not
-// or when one is out of range.
+// keeps its backing array, the kept values move down within it and the
+// column is cut to the kept count, so a later append lands right after
+// them. rows must be ascending and unique; the table is unchanged when
+// they are not or when one is out of range.
 func (t *Table) KeepRows(rows []int) error {
 	for i, r := range rows {
 		if r < 0 || r >= t.rows {
@@ -341,10 +342,11 @@ func (t *Table) KeepRows(rows []int) error {
 			return fmt.Errorf("dataset: KeepRows rows not ascending at %d", i)
 		}
 	}
-	for _, col := range t.cols {
+	for i, col := range t.cols {
 		for j, r := range rows {
 			col[j] = col[r]
 		}
+		t.cols[i] = col[:len(rows)]
 	}
 	t.rows = len(rows)
 	return nil

@@ -192,6 +192,56 @@ func TestSubset(t *testing.T) {
 	}
 }
 
+// KeepRows must leave a table that appends exactly like a fresh one: the
+// kept rows first, then each appended row right after them, never a stale
+// value from behind the cut.
+func TestKeepRowsThenAppend(t *testing.T) {
+	tbl := MustTable(mixedSchema())
+	for i := 0; i < 6; i++ {
+		if err := tbl.AppendRow(float64(i), string(rune('a'+i)), float64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range [][]int{{1, 1}, {3, 2}, {0, 6}, {-1}} {
+		if err := tbl.KeepRows(bad); err == nil {
+			t.Errorf("KeepRows(%v) should fail", bad)
+		}
+		if tbl.Len() != 6 || tbl.Value(5, 0) != 5 {
+			t.Fatalf("failed KeepRows(%v) changed the table", bad)
+		}
+	}
+	if err := tbl.KeepRows([]int{1, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendRow(10.0, "z", 110.0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendColumnChunk([][]float64{{20, 21}, {0, 1}, {120, 121}}); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{1, 1, 101}, {3, 3, 103}, {4, 4, 104}, {10, 6, 110}, {20, 0, 120}, {21, 1, 121}}
+	for _, tb := range []*Table{tbl, tbl.Clone()} {
+		if tb.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d", tb.Len(), len(want))
+		}
+		for r, row := range want {
+			for c, v := range row {
+				if got := tb.Value(r, c); got != v {
+					t.Errorf("Value(%d, %d) = %v, want %v", r, c, got, v)
+				}
+			}
+		}
+		if got := tb.Label(tb.Len()-3, 1); got != "z" {
+			t.Errorf("appended city = %q, want z", got)
+		}
+		for c := range tb.cols {
+			if len(tb.cols[c]) != tb.Len() || len(tb.ColumnView(c)) != tb.Len() {
+				t.Errorf("column %d holds %d values, table has %d rows", c, len(tb.cols[c]), tb.Len())
+			}
+		}
+	}
+}
+
 func TestValidateRejectsNaN(t *testing.T) {
 	tbl := MustTable(MustSchema(
 		Attribute{Name: "a", Role: QuasiIdentifier, Kind: Numeric},
