@@ -186,6 +186,9 @@ type Result struct {
 	// Elapsed is the wall-clock anonymization time (partition +
 	// aggregation, excluding substrate preparation and assessment).
 	Elapsed time.Duration
+	// Epoch is the table epoch the run released: the engine's Epoch when
+	// the run took its snapshot, whatever Append or Delete did since.
+	Epoch int
 }
 
 // ErrUnknownAlgorithm rejects Spec.Algorithm values outside the six

@@ -373,6 +373,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		EffectiveK: ek,
 		Warm:       warmStats,
 		Elapsed:    elapsed,
+		Epoch:      st.epoch,
 	}
 	if !spec.SkipAssessment {
 		rep, err := assess(st.table, clusters)

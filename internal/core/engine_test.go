@@ -131,6 +131,9 @@ func TestEngineAppendMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: engine: %v", alg, err)
 		}
+		if got.Epoch != 2 {
+			t.Fatalf("%v: result names epoch %d, want 2", alg, got.Epoch)
+		}
 		want, err := runFresh(full, spec)
 		if err != nil {
 			t.Fatalf("%v: cold: %v", alg, err)

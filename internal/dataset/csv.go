@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CSV layout
@@ -16,49 +18,103 @@ import (
 // subsequent row is one record. This keeps files self-describing so the
 // cmd/tcm tool needs no side-channel schema file.
 
-// WriteCSV encodes the table to w in the two-header CSV format.
+// csvChunk is how many bytes WriteCSV buffers before each write.
+const csvChunk = 64 << 10
+
+// WriteCSV encodes the table to w in the two-header CSV format: the
+// header lines of AppendHeader, then one line of AppendCell fields per
+// record, written in chunks of about 64 KB.
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.schema.Names()); err != nil {
-		return fmt.Errorf("dataset: writing header: %w", err)
-	}
-	desc := make([]string, t.schema.Len())
-	for i := 0; i < t.schema.Len(); i++ {
-		a := t.schema.Attr(i)
-		desc[i] = a.Role.String() + ":" + a.Kind.String()
-	}
-	if err := cw.Write(desc); err != nil {
-		return fmt.Errorf("dataset: writing schema row: %w", err)
-	}
-	rec := make([]string, t.schema.Len())
+	buf := t.AppendHeader(make([]byte, 0, csvChunk+1024))
 	for r := 0; r < t.rows; r++ {
-		for c := 0; c < t.schema.Len(); c++ {
-			if t.schema.Attr(c).Kind == Categorical {
-				rec[c] = t.Label(r, c)
-			} else {
-				rec[c] = strconv.FormatFloat(t.cols[c][r], 'g', -1, 64)
+		for c := range t.cols {
+			if c > 0 {
+				buf = append(buf, ',')
 			}
+			buf = t.AppendCell(buf, r, c)
 		}
-		if len(rec) == 1 && rec[0] == "" {
-			// A single empty field serializes to a blank line, which CSV
-			// readers (including ours) skip as a non-record — silently
-			// dropping the row on a round trip. Emit an explicitly quoted
-			// empty field instead; the reader decodes it back to "".
-			cw.Flush()
-			if err := cw.Error(); err != nil {
-				return err
+		buf = append(buf, '\n')
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("dataset: writing CSV: %w", err)
 			}
-			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
-				return fmt.Errorf("dataset: writing row %d: %w", r, err)
-			}
-			continue
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: writing row %d: %w", r, err)
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("dataset: writing CSV: %w", err)
+	}
+	return nil
+}
+
+// AppendHeader appends the format's two header lines to dst: the
+// attribute names, then the "role:kind" descriptors.
+func (t *Table) AppendHeader(dst []byte) []byte {
+	for i := 0; i < t.schema.Len(); i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendField(dst, t.schema.Attr(i).Name)
+	}
+	dst = append(dst, '\n')
+	for i := 0; i < t.schema.Len(); i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		a := t.schema.Attr(i)
+		dst = appendField(dst, a.Role.String()+":"+a.Kind.String())
+	}
+	return append(dst, '\n')
+}
+
+// AppendCell appends the CSV field of the value at (row, col) to dst, as
+// WriteCSV writes it: a numeric value in strconv's shortest 'g' form, a
+// categorical one as its label, quoted by encoding/csv's rule. The one
+// exception to that rule is the empty label of a one-column table, which
+// is written as "": left bare it would make a blank line, which CSV
+// readers (including ours) skip, dropping the record on a round trip.
+func (t *Table) AppendCell(dst []byte, row, col int) []byte {
+	if t.schema.Attr(col).Kind != Categorical {
+		return strconv.AppendFloat(dst, t.cols[col][row], 'g', -1, 64)
+	}
+	label := t.Label(row, col)
+	if label == "" && len(t.cols) == 1 {
+		return append(dst, `""`...)
+	}
+	return appendField(dst, label)
+}
+
+// appendField appends one field as encoding/csv's Writer writes it with
+// its defaults (comma separator, "\n" line ends): quoted when it is `\.`,
+// holds a comma, quote, carriage return or newline, or starts with a
+// Unicode space, with every quote inside doubled.
+func appendField(dst []byte, field string) []byte {
+	if !fieldNeedsQuotes(field) {
+		return append(dst, field...)
+	}
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(field, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, field[:i+1]...)
+		dst = append(dst, '"')
+		field = field[i+1:]
+	}
+	dst = append(dst, field...)
+	return append(dst, '"')
+}
+
+func fieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` || strings.ContainsAny(field, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV decodes a table from r in the two-header CSV format produced by

@@ -31,9 +31,9 @@ type cacheKey struct {
 	workers int
 }
 
-// resultCache is a small mutex-guarded LRU over completed results. Results
-// are immutable once published (the engine returns fresh tables per run
-// and the server never mutates them), so entries are shared by pointer.
+// resultCache is a small mutex-guarded LRU over formatted releases. A
+// release is immutable once built, so an entry shares it by pointer with
+// the job records that ran or hit it.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -43,14 +43,14 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key cacheKey
-	res *core.Result
+	rel *release
 }
 
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, ll: list.New(), items: make(map[cacheKey]*list.Element)}
 }
 
-func (c *resultCache) get(k cacheKey) (*core.Result, bool) {
+func (c *resultCache) get(k cacheKey) (*release, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -58,7 +58,7 @@ func (c *resultCache) get(k cacheKey) (*core.Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).rel, true
 }
 
 // evictDataset drops every cached release of the named dataset — the
@@ -77,7 +77,7 @@ func (c *resultCache) evictDataset(name string) {
 	}
 }
 
-func (c *resultCache) put(k cacheKey, res *core.Result) {
+func (c *resultCache) put(k cacheKey, rel *release) {
 	if c.cap <= 0 {
 		return
 	}
@@ -85,10 +85,10 @@ func (c *resultCache) put(k cacheKey, res *core.Result) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).rel = rel
 		return
 	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, res: res})
+	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, rel: rel})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -81,9 +81,9 @@ type job struct {
 	attempts   int
 	taskEvents int // progress ticks of the current attempt (faultinject index)
 	progress   core.Progress
-	epoch      int // dataset epoch the job ran (or hit the cache) against
+	epoch      int // dataset epoch at submission; once done, its release's
 	cached     bool
-	res        *core.Result
+	rel        *release // the result document, once done
 	err        error
 	errKind    string
 	stack      []byte
@@ -106,8 +106,9 @@ func (j *job) noteProgress(p core.Progress) int {
 // requestCancel cancels the job: a queued job flips straight to canceled
 // (the worker will skip it), a running job gets its context canceled and
 // finishes through the normal classification path. Finished jobs are
-// untouched. Returns the state after the request.
-func (j *job) requestCancel(m *metrics) JobState {
+// untouched. Returns the state after the request, and whether the request
+// itself finished the job.
+func (j *job) requestCancel(m *metrics) (JobState, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
@@ -118,13 +119,14 @@ func (j *job) requestCancel(m *metrics) JobState {
 		j.err = context.Canceled
 		j.finished = time.Now()
 		m.cancels.Add(1)
+		return j.state, true
 	case JobRunning:
 		j.cancelReq = true
 		if j.cancelRun != nil {
 			j.cancelRun()
 		}
 	}
-	return j.state
+	return j.state, false
 }
 
 // runJob executes one dequeued job end to end: deadline, attempts with
@@ -180,9 +182,10 @@ func (s *Server) runJob(j *job) {
 }
 
 // attempt runs the engine once with panic isolation. The dataset's run
-// lock serializes runs and appends per dataset, which makes the epoch read
-// exact for the cache key; the engine itself stays concurrency-safe — the
-// lock is a serving-layer bookkeeping contract, not an engine requirement.
+// lock lets one job run on a dataset at a time, so progress events and the
+// fault layer's task indices belong to that job; the engine itself stays
+// concurrency-safe, and appends and deletes do not wait for the run. The
+// run reports the epoch it released in Result.Epoch.
 func (s *Server) attempt(ctx context.Context, j *job) (res *core.Result, err error) {
 	if err := s.cfg.Fault.BeforeAttempt(); err != nil {
 		return nil, err
@@ -202,23 +205,28 @@ func (s *Server) attempt(ctx context.Context, j *job) (res *core.Result, err err
 	defer ds.runMu.Unlock()
 	ds.current.Store(j)
 	defer ds.current.Store(nil)
-	j.mu.Lock()
-	j.epoch = ds.eng.Epoch()
-	j.mu.Unlock()
 	return ds.eng.Run(ctx, j.spec)
 }
 
 // finishJob classifies the outcome into the job record and the metrics,
-// and publishes successful results to the cache.
+// publishes successful releases to the cache and adds the job to the
+// history. A successful run's document is formatted first, outside j.mu,
+// so the job reads done only once its release exists, and the run's
+// table and clusters are dropped with res; a formatting error fails the
+// job instead.
 func (s *Server) finishJob(j *job, res *core.Result, err error) {
+	var rel *release
+	if err == nil {
+		rel, err = newRelease(j, res)
+	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.cancelRun = nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.res = res
+		j.epoch = res.Epoch
+		j.rel = rel
 		s.metrics.runs.Add(1)
 		s.metrics.observe(j.finished.Sub(j.started))
 		if res.Warm != nil {
@@ -232,7 +240,7 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 			s.metrics.shardedRuns.Add(1)
 		}
 		if !j.noCache {
-			s.cache.put(s.cacheKeyOf(j.ds.name, j.epoch, j.spec), res)
+			s.cache.put(s.cacheKeyOf(j.ds.name, res.Epoch, j.spec), rel)
 		}
 	case errors.Is(err, context.DeadlineExceeded):
 		j.state = JobFailed
@@ -263,6 +271,10 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 		}
 		s.metrics.failures.Add(1)
 	}
+	j.mu.Unlock()
+	s.mu.Lock()
+	s.retireLocked(j.id)
+	s.mu.Unlock()
 }
 
 // cacheKeyOf derives the result-cache key of a submission. Serial releases

@@ -21,9 +21,13 @@
 //     whatever remains.
 //
 // Identical submissions are served from a keyed result cache over
-// (dataset, epoch, Spec) without re-running the engine. Jobs on the
-// paper's three algorithms run warm by default: after an append or delete
-// epoch the engine repairs its cached partition locally instead of
+// (dataset, epoch, Spec) without re-running the engine. A job's result
+// document is formatted once, when it finishes, and the job record and the
+// cache share it, so a fetch copies escaped bytes instead of re-encoding
+// the release; the job keeps no table or clusters. Appends and deletes
+// take their own per-dataset lock and never wait for a running job. Jobs
+// on the paper's three algorithms run warm by default: after an append or
+// delete epoch the engine repairs its cached partition locally instead of
 // recomputing from scratch (cold=true per job opts out), and /metrics
 // reports the warm hit/miss split plus the repair scope. The
 // internal/serve/faultinject subpackage can inject panics, slowdowns and
@@ -128,9 +132,12 @@ func (c Config) withDefaults() Config {
 }
 
 // datasetEntry is one registered dataset and its prepared engine. runMu
-// serializes runs and appends on the dataset so the epoch recorded for the
-// cache key is exactly the epoch the run executed against; current routes
-// engine progress events to the job running right now.
+// lets one job run on the dataset at a time, so current can route engine
+// progress events (and the fault layer's task indices) to the job running
+// right now; a run reports the epoch it released itself (Result.Epoch),
+// so appends and deletes need not wait for it. epochMu serializes appends
+// and deletes, so the (rows, epoch) pair each answers is the one its own
+// epoch made.
 type datasetEntry struct {
 	name    string
 	eng     *core.Engine
@@ -138,6 +145,7 @@ type datasetEntry struct {
 
 	runMu   sync.Mutex
 	current atomic.Pointer[job]
+	epochMu sync.Mutex
 }
 
 // Server is the anonymization service. It implements http.Handler; create
@@ -553,24 +561,24 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no rows")
 		return
 	}
-	// Serialize with runs so a run's recorded epoch stays exact.
-	ds.runMu.Lock()
+	ds.epochMu.Lock()
 	err := ds.eng.Append(req.Rows...)
-	ds.runMu.Unlock()
+	rows, epoch := ds.eng.Len(), ds.eng.Epoch()
+	ds.epochMu.Unlock()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"name": ds.name, "rows": ds.eng.Len(), "epoch": ds.eng.Epoch(),
+		"name": ds.name, "rows": rows, "epoch": epoch,
 	})
 }
 
 // handleDeleteRows removes records by current row id, advancing the dataset
-// one tombstone epoch. Like Append it is serialized with runs under runMu so
-// the epoch a job records is exactly the epoch it executed against; warm
-// seeds cached for earlier epochs are remapped through the tombstones on the
-// next warm job rather than discarded.
+// one tombstone epoch. Like handleAppend it serializes on epochMu and does
+// not wait for a running job; warm seeds cached for earlier epochs are
+// remapped through the tombstones on the next warm job rather than
+// discarded.
 func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 	ds := s.dataset(r.PathValue("name"))
 	if ds == nil {
@@ -588,15 +596,16 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no rows")
 		return
 	}
-	ds.runMu.Lock()
+	ds.epochMu.Lock()
 	err := ds.eng.Delete(req.Rows...)
-	ds.runMu.Unlock()
+	rows, epoch := ds.eng.Len(), ds.eng.Epoch()
+	ds.epochMu.Unlock()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"name": ds.name, "rows": ds.eng.Len(), "epoch": ds.eng.Epoch(),
+		"name": ds.name, "rows": rows, "epoch": epoch,
 	})
 }
 
@@ -667,6 +676,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		timeout = s.cfg.MaxTimeout
 	}
 
+	epoch := ds.eng.Epoch()
 	j := &job{
 		ds:        ds,
 		spec:      spec,
@@ -675,20 +685,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		noCache:   req.NoCache,
 		state:     JobQueued,
 		submitted: time.Now(),
-		epoch:     ds.eng.Epoch(),
+		epoch:     epoch,
 	}
 
 	// Cache fast path: an identical (dataset epoch, Spec) release is served
 	// without touching the queue or the engine.
 	if !req.NoCache {
-		if res, ok := s.cache.get(s.cacheKeyOf(ds.name, ds.eng.Epoch(), spec)); ok {
+		if rel, ok := s.cache.get(s.cacheKeyOf(ds.name, epoch, spec)); ok {
 			s.metrics.cacheHits.Add(1)
 			j.state = JobDone
 			j.cached = true
-			j.res = res
+			j.rel = rel
 			j.started = j.submitted
 			j.finished = j.submitted
-			s.registerJob(j)
+			s.mu.Lock()
+			s.registerJobLocked(j)
+			s.retireLocked(j.id)
+			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, s.statusDoc(j))
 			return
 		}
@@ -752,12 +765,6 @@ func (s *Server) retryAfter() (headerSecs int, estimateSecs float64) {
 	return secs, estimateSecs
 }
 
-func (s *Server) registerJob(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.registerJobLocked(j)
-}
-
 func (s *Server) registerJobLocked(j *job) {
 	s.nextID++
 	j.id = s.nextID
@@ -765,23 +772,21 @@ func (s *Server) registerJobLocked(j *job) {
 	s.pruneHistoryLocked()
 }
 
+// retireLocked adds a job that has just finished to the history: every
+// path that finishes a job (a run, a cache hit, a cancel while queued)
+// calls it once, after the job reads finished.
+func (s *Server) retireLocked(id uint64) {
+	s.history = append(s.history, id)
+	s.pruneHistoryLocked()
+}
+
 // pruneHistoryLocked forgets the oldest finished jobs beyond JobHistory so
 // a long-running server's job map stays bounded. Queued and running jobs
-// are never pruned.
+// are not in the history, so they are never pruned.
 func (s *Server) pruneHistoryLocked() {
-	if len(s.jobs) <= s.cfg.JobHistory {
-		return
-	}
-	for id, j := range s.jobs {
-		if len(s.jobs) <= s.cfg.JobHistory {
-			break
-		}
-		j.mu.Lock()
-		finished := j.state == JobDone || j.state == JobFailed || j.state == JobCanceled
-		j.mu.Unlock()
-		if finished {
-			delete(s.jobs, id)
-		}
+	for len(s.jobs) > s.cfg.JobHistory && len(s.history) > 0 {
+		delete(s.jobs, s.history[0])
+		s.history = s.history[1:]
 	}
 }
 
@@ -810,10 +815,17 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	state := j.requestCancel(&s.metrics)
+	state, finished := j.requestCancel(&s.metrics)
+	if finished {
+		s.mu.Lock()
+		s.retireLocked(j.id)
+		s.mu.Unlock()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "state": state})
 }
 
+// handleJobResult serves a done job's result document: the job's id and
+// cached flag, then the release formatted when the job finished.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -821,60 +833,15 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state := j.state
-	res := j.res
+	state, rel, cached := j.state, j.rel, j.cached
 	j.mu.Unlock()
 	if state != JobDone {
 		writeJSON(w, http.StatusConflict, s.statusDoc(j))
 		return
 	}
-	var csv strings.Builder
-	if err := res.Anonymized.WriteCSV(&csv); err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding release: "+err.Error())
-		return
-	}
-	doc := map[string]any{
-		"id":          j.id,
-		"dataset":     j.ds.name,
-		"epoch":       j.epoch,
-		"algorithm":   j.algName,
-		"k":           j.spec.K,
-		"t":           j.spec.T,
-		"cached":      j.cached,
-		"rows":        res.Anonymized.Len(),
-		"clusters":    len(res.Clusters),
-		"max_emd":     res.MaxEMD,
-		"sse":         res.SSE,
-		"effective_k": res.EffectiveK,
-		"merges":      res.Merges,
-		"swaps":       res.Swaps,
-		"elapsed_ms":  float64(res.Elapsed) / float64(time.Millisecond),
-		"sizes": map[string]any{
-			"min": res.Sizes.Min, "max": res.Sizes.Max,
-			"avg": res.Sizes.Avg, "num": res.Sizes.Num,
-		},
-		"release_csv": csv.String(),
-	}
-	if res.Warm != nil {
-		doc["warm"] = map[string]any{
-			"seed_epoch":    res.Warm.SeedEpoch,
-			"seed_clusters": res.Warm.SeedClusters,
-			"assigned":      res.Warm.Assigned,
-			"folded":        res.Warm.Folded,
-			"split":         res.Warm.Split,
-			"repaired":      res.Warm.Repaired,
-			"scope_rows":    res.Warm.ScopeRows,
-		}
-	}
-	if res.Privacy != nil {
-		doc["privacy"] = map[string]any{
-			"classes":     res.Privacy.Classes,
-			"k_anonymity": res.Privacy.KAnonymity,
-			"t_closeness": res.Privacy.TCloseness,
-			"l_diversity": res.Privacy.LDiversity,
-		}
-	}
-	writeJSON(w, http.StatusOK, doc)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = rel.writeTo(w, j.id, cached) // a failed write means the client left
 }
 
 // statusDoc renders a job's record, including — for failed jobs — the
